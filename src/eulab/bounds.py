@@ -656,6 +656,8 @@ def _positive_set(values: Iterable[int]) -> tuple[int, ...]:
 
 def random_eint_set(rng: random.Random, size: int, coord_range: int,
                     ) -> tuple[EInt, ...]:
+    if size > (2 * coord_range + 1) ** 2:
+        raise ValueError("range too small for the requested set size")
     out: set[EInt] = set()
     while len(out) < size:
         out.add(EInt(rng.randint(-coord_range, coord_range),
@@ -670,37 +672,41 @@ def random_int_set(rng: random.Random, size: int, max_value: int,
     return tuple(sorted(rng.sample(range(1, max_value + 1), size)))
 
 
-THEOREMS = ("t1", "t2", "cor1", "cor2", "rho_minus1", "erdos_turan")
+# theorem -> (element kind, check).  A check is called as
+# check(elements, seed, rho, general); only t2 reads rho and general.  The
+# lambdas look each verify_* up when called, so rebinding one is honoured.
+VERIFIERS = {
+    "t1": ("eint", lambda xs, seed, rho, general: verify_t1(xs, seed)),
+    "t2": ("eint", lambda xs, seed, rho, general:
+           verify_t2(xs, rho, seed, general)),
+    "cor1": ("int", lambda xs, seed, rho, general: verify_cor1(xs, seed)),
+    "cor2": ("int", lambda xs, seed, rho, general: verify_cor2(xs, seed)),
+    "rho_minus1": ("eint", lambda xs, seed, rho, general:
+                   verify_rho_minus1(xs, seed)),
+    "erdos_turan": ("int", lambda xs, seed, rho, general:
+                    verify_erdos_turan(xs, seed)),
+}
+THEOREMS = tuple(VERIFIERS)
 
 
 def run_trials(theorem: str, trials: int, size: int, coord_range: int,
                seed: int, rho: EInt | None = None, general: bool = False,
                ) -> list[BoundReport]:
-    if theorem not in THEOREMS:
+    if theorem not in VERIFIERS:
         raise ValueError(f"unknown bound {theorem!r}")
+    if theorem == "t2" and rho is None:
+        raise ValueError("t2 needs a rho")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if size < 2:
+        raise ValueError("size must be at least 2")
+    kind, check = VERIFIERS[theorem]
+    draw = random_eint_set if kind == "eint" else random_int_set
     reports = []
     for t in range(trials):
         trial_seed = f"{seed}:{t}"
-        rng = random.Random(trial_seed)
-        if theorem in ("t1", "t2", "rho_minus1"):
-            elements: tuple = random_eint_set(rng, size, coord_range)
-        else:
-            elements = random_int_set(rng, size, coord_range)
-        if theorem == "t1":
-            reports.append(verify_t1(elements, seed=trial_seed))
-        elif theorem == "t2":
-            if rho is None:
-                raise ValueError("t2 needs a rho")
-            reports.append(verify_t2(elements, rho, seed=trial_seed,
-                                     general=general))
-        elif theorem == "cor1":
-            reports.append(verify_cor1(elements, seed=trial_seed))
-        elif theorem == "cor2":
-            reports.append(verify_cor2(elements, seed=trial_seed))
-        elif theorem == "rho_minus1":
-            reports.append(verify_rho_minus1(elements, seed=trial_seed))
-        else:
-            reports.append(verify_erdos_turan(elements, seed=trial_seed))
+        elements = draw(random.Random(trial_seed), size, coord_range)
+        reports.append(check(elements, trial_seed, rho, general))
     return reports
 
 
@@ -711,5 +717,5 @@ __all__ = [
     "refine_t2", "phi", "BoundReport", "verify_t1", "verify_t2",
     "verify_cor1", "verify_cor2", "verify_rho_minus1", "verify_erdos_turan",
     "random_eint_set", "random_int_set", "run_trials", "THEOREMS",
-    "ZeroFactorError",
+    "VERIFIERS", "ZeroFactorError",
 ]

@@ -29,8 +29,7 @@ from pathlib import Path
 
 from eulab import __version__
 from eulab.bounds import (
-    THEOREMS, c_constants, refine_t1, refine_t2, run_trials, verify_cor1,
-    verify_cor2, verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
+    THEOREMS, VERIFIERS, c_constants, refine_t1, refine_t2, run_trials,
 )
 from eulab.core import EInt
 from eulab.factor import factor_e, factor_rational, omega_e, tau_e
@@ -39,7 +38,7 @@ from eulab.polyprod import (
 )
 from eulab.search import PairPrimeCache, run_search
 
-VERIFY_TOKENS = ("t1", "t2", "cor1", "cor2", "rho-minus1", "erdos-turan")
+VERIFY_TOKENS = tuple(t.replace("_", "-") for t in THEOREMS)
 _VOLATILE_KEYS = ("seconds", "nodes_visited")
 
 RHO_ONE = EInt(1, 0)
@@ -56,7 +55,7 @@ def _f12(value: float) -> float:
 def _eint_arg(text: str) -> EInt:
     try:
         return EInt.parse(text)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -76,7 +75,7 @@ def _parse_eint_set(path: str) -> list[EInt]:
     for lineno, line in _read_lines(path):
         try:
             out.append(EInt.parse(line))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise CliError(f"{path}:{lineno}: bad element {line!r}") from None
     if not out:
         raise CliError(f"{path}: no elements")
@@ -146,22 +145,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
         raise CliError(f"verify {token} does not take --rho")
 
     if args.set is not None:
-        if token in ("t1", "t2", "rho-minus1"):
+        kind, check = VERIFIERS[name]
+        if kind == "eint":
             elements = _parse_eint_set(args.set)
         else:
             elements = _parse_int_set(args.set)
-        if token == "t1":
-            reports = [verify_t1(elements)]
-        elif token == "t2":
-            reports = [verify_t2(elements, args.rho, general=args.general)]
-        elif token == "cor1":
-            reports = [verify_cor1(elements)]
-        elif token == "cor2":
-            reports = [verify_cor2(elements)]
-        elif token == "rho-minus1":
-            reports = [verify_rho_minus1(elements)]
-        else:
-            reports = [verify_erdos_turan(elements)]
+        reports = [check(elements, None, args.rho, args.general)]
     else:
         reports = run_trials(name, args.trials, args.size, args.range,
                              seed=args.seed, rho=args.rho,
@@ -404,10 +393,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         out, code = _HANDLERS[args.command](args)
-    except CliError as exc:
-        print(f"eulab: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError, OverflowError) as exc:
         print(f"eulab: {exc}", file=sys.stderr)
         return 2
 

@@ -7,22 +7,25 @@ enumerate every witness attaining it.
 
 The bound is the plain monotonicity of omega: growing a set never removes
 primes.  A depth-first scan over ascending tuples carries the union of
-pair primes seen so far and abandons a branch as soon as that union is no
-smaller than the best complete set known.  Two passes run: the first pins
-the exact minimum, the second re-walks the tree with the minimum as a
-fixed ceiling, which makes the enumeration (and its node count)
-independent of visiting order and therefore of the worker count.
+pair primes seen so far and abandons a branch as soon as that union
+exceeds a ceiling.  One pass does the whole job: the ceiling is the best
+complete set known, and every complete set tying it is kept until a
+better one resets the list (branch and bound with an incumbent that
+collects ties, Carraghan & Pardalos 1990).  In first-witness mode the
+ceiling sits one below the best, so only strictly better sets are sought
+once a witness is in hand.
 
 Prime sets per pair are kept as tuples of dense indices into the sorted
 prime list; a 2000-element table would need tens of thousands of bits per
 mask, so the hot loop unions small frozensets instead of big integers.
 Workers are forked processes sharing the pair table copy-on-write and a
-locked incumbent cell; only pass-one node counts depend on their timing.
+locked incumbent, which each polls every 2048 nodes to tighten its own
+ceiling; node counts therefore depend on their timing, the results do
+not.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing
 import time
@@ -116,18 +119,6 @@ class SearchResult:
         }
 
 
-class _Cell:
-    """Single-process stand-in for a multiprocessing Value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def get_lock(self):
-        return contextlib.nullcontext()
-
-
 def _row_table(cache: PairPrimeCache, max_element: int,
                ) -> list[list[frozenset]]:
     """pm[a][b] = frozenset of prime indices of the pair (a, b), a < b."""
@@ -139,86 +130,52 @@ def _row_table(cache: PairPrimeCache, max_element: int,
     return pm
 
 
-def _phase1_slice(pm, max_element: int, k: int, firsts: Sequence[int],
-                  shared, primitive_only: bool) -> tuple[int, int]:
-    """Exact-minimum pass over the subtrees rooted at the given first
-    elements.  Returns (best omega of a complete set seen here, nodes)."""
+def _slice(pm, max_element: int, k: int, firsts: Sequence[int], shared,
+           primitive_only: bool, all_witnesses: bool,
+           ) -> tuple[int, list[tuple[int, ...]], int]:
+    """Branch and bound over the subtrees rooted at the given first
+    elements.  Returns (best omega of a complete set seen here, the sets
+    that reached it, nodes).  With all_witnesses every such set is kept;
+    otherwise only the lexicographically first of this slice.
+
+    A node is cut once its union exceeds min(shared incumbent, best - slack),
+    slack being 1 in first-witness mode, where ties with the slice's own
+    best are no longer wanted.  The shared value alone never cuts a tie:
+    another slice holding the minimum must not hide this slice's
+    lexicographically smaller witness."""
     nodes = 0
     best = _BIG
-    local_inc = _BIG
+    found: list[tuple[int, ...]] = []
+    slack = 0 if all_witnesses else 1
+    ceiling = _BIG
     gcd = math.gcd
     elems: list[int] = []
 
     def extend(mask, last: int, depth: int) -> None:
-        nonlocal nodes, best, local_inc
+        nonlocal nodes, best, ceiling
         rows = [pm[x] for x in elems]
         leaf = depth + 1 == k
         for e in range(last + 1, max_element - (k - depth - 1) + 1):
             nodes += 1
             if nodes & 2047 == 0:
-                with shared.get_lock():
-                    if shared.value < local_inc:
-                        local_inc = shared.value
+                ceiling = min(shared.value, best - slack)
             m = mask
             for row in rows:
                 m = m | row[e]
             pc = len(m)
-            if pc >= local_inc:
+            if pc > ceiling:
                 continue
             if leaf:
                 if primitive_only and gcd(*elems, e) != 1:
                     continue
-                with shared.get_lock():
-                    if pc < shared.value:
-                        shared.value = pc
-                    local_inc = shared.value
                 if pc < best:
                     best = pc
-            else:
-                elems.append(e)
-                extend(m, e, depth + 1)
-                elems.pop()
-
-    empty = frozenset()
-    for a in firsts:
-        nodes += 1
-        elems[:] = [a]
-        extend(empty, a, 1)
-    return best, nodes
-
-
-def _phase2_slice(pm, max_element: int, k: int, firsts: Sequence[int],
-                  bound: int, primitive_only: bool, all_witnesses: bool,
-                  ) -> tuple[list[tuple[int, ...]], int]:
-    """Witness pass with a fixed ceiling: collect complete sets whose omega
-    equals the known minimum.  Deterministic regardless of slicing."""
-    nodes = 0
-    found: list[tuple[int, ...]] = []
-    gcd = math.gcd
-    elems: list[int] = []
-    stop = False
-
-    def extend(mask, last: int, depth: int) -> None:
-        nonlocal nodes, stop
-        rows = [pm[x] for x in elems]
-        leaf = depth + 1 == k
-        for e in range(last + 1, max_element - (k - depth - 1) + 1):
-            if stop:
-                return
-            nodes += 1
-            m = mask
-            for row in rows:
-                m = m | row[e]
-            if len(m) > bound:
-                continue
-            if leaf:
-                # len(m) < bound cannot happen: bound is the true minimum
-                if primitive_only and gcd(*elems, e) != 1:
-                    continue
+                    found.clear()
+                    with shared.get_lock():
+                        if pc < shared.value:
+                            shared.value = pc
+                        ceiling = min(shared.value, best - slack)
                 found.append((*elems, e))
-                if not all_witnesses:
-                    stop = True
-                    return
             else:
                 elems.append(e)
                 extend(m, e, depth + 1)
@@ -226,12 +183,10 @@ def _phase2_slice(pm, max_element: int, k: int, firsts: Sequence[int],
 
     empty = frozenset()
     for a in firsts:
-        if stop:
-            break
         nodes += 1
         elems[:] = [a]
         extend(empty, a, 1)
-    return found, nodes
+    return best, found, nodes
 
 
 # State inherited by forked workers: the row table is large and read-only,
@@ -239,16 +194,10 @@ def _phase2_slice(pm, max_element: int, k: int, firsts: Sequence[int],
 _FORK: dict = {}
 
 
-def _phase1_entry(args):
-    firsts, max_element, k, primitive_only = args
-    return _phase1_slice(_FORK["pm"], max_element, k, firsts,
-                         _FORK["inc"], primitive_only)
-
-
-def _phase2_entry(args):
-    firsts, max_element, k, bound, primitive_only, all_witnesses = args
-    return _phase2_slice(_FORK["pm"], max_element, k, firsts, bound,
-                         primitive_only, all_witnesses)
+def _entry(args):
+    firsts, max_element, k, primitive_only, all_witnesses = args
+    return _slice(_FORK["pm"], max_element, k, firsts, _FORK["inc"],
+                  primitive_only, all_witnesses)
 
 
 def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
@@ -259,8 +208,11 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
     A cache built for a larger table can serve any smaller max_element.
     With all_witnesses the full list of minimum sets is returned in
     lexicographic order; otherwise only the lexicographically first.
+    The tree is walked once: each worker runs a branch and bound over
+    its own first elements, keeping the sets that tie its best so far.
     minimum, witnesses and witness_count do not depend on the worker
-    count; the pass-one share of nodes_visited does once workers > 1.
+    count.  nodes_visited is exact at workers=1; with more workers it
+    depends on when each one sees the others' incumbent.
     """
     if max_element is None:
         max_element = cache.max_element
@@ -279,31 +231,24 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
               for w in range(workers)]
 
     if workers == 1:
-        best, nodes1 = _phase1_slice(pm, max_element, k, slices[0],
-                                     _Cell(_BIG), primitive_only)
-        minimum = best
-        found, nodes2 = _phase2_slice(pm, max_element, k, slices[0], minimum,
-                                      primitive_only, all_witnesses)
-        witnesses = found
+        parts = [_slice(pm, max_element, k, slices[0],
+                        multiprocessing.Value("q", _BIG), primitive_only,
+                        all_witnesses)]
     else:
         ctx = multiprocessing.get_context("fork")
         _FORK["pm"] = pm
         _FORK["inc"] = ctx.Value("q", _BIG)
         try:
             with ctx.Pool(workers) as pool:
-                part1 = pool.map(_phase1_entry, [
-                    (s, max_element, k, primitive_only) for s in slices])
-                minimum = min(b for b, _ in part1)
-                part2 = pool.map(_phase2_entry, [
-                    (s, max_element, k, minimum, primitive_only,
-                     all_witnesses) for s in slices])
+                parts = pool.map(_entry, [
+                    (s, max_element, k, primitive_only, all_witnesses)
+                    for s in slices])
         finally:
             _FORK.clear()
-        nodes1 = sum(n for _, n in part1)
-        nodes2 = sum(n for _, n in part2)
-        witnesses = [w for ws, _ in part2 for w in ws]
 
-    witnesses.sort()
+    minimum = min(best for best, _, _ in parts)
+    witnesses = sorted(w for best, found, _ in parts if best == minimum
+                       for w in found)
     if not all_witnesses:
         witnesses = witnesses[:1]
     seconds = time.perf_counter() - start
@@ -311,7 +256,7 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
         k=k, max_element=max_element, primitive_only=primitive_only,
         all_witnesses=all_witnesses, minimum=minimum,
         witness_count=len(witnesses), witnesses=tuple(witnesses),
-        nodes_visited=nodes1 + nodes2, seconds=seconds)
+        nodes_visited=sum(n for _, _, n in parts), seconds=seconds)
 
 
 __all__ = ["MAX_TABLE_ELEMENT", "PairPrimeCache", "SearchResult",

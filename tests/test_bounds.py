@@ -320,3 +320,14 @@ class TestTrials:
     def test_int_set_requires_room(self):
         with pytest.raises(ValueError):
             random_int_set(random.Random(0), 10, 5)
+
+    def test_eint_set_requires_room(self):
+        assert len(random_eint_set(random.Random(0), 25, 2)) == 25
+        with pytest.raises(ValueError):
+            random_eint_set(random.Random(0), 26, 2)
+
+    @pytest.mark.parametrize("trials,size", [(0, 5), (-1, 5), (3, 1),
+                                             (3, -2)])
+    def test_rejects_empty_trials(self, trials, size):
+        with pytest.raises(ValueError):
+            run_trials("t1", trials, size, 10, seed=0)

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from eulab import cli
+from eulab import bounds, cli
 from eulab.bounds import verify_t1
 from eulab.core import OMEGA, ONE, EInt
 
@@ -68,6 +68,11 @@ class TestFactor:
         code, _, err = run_cli(["factor", "--e", "0,0"], capsys)
         assert code == 2
         assert "zero" in err
+
+    def test_out_of_range_coordinate(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["factor", "--e", "9223372036854775808,0"])
+        assert exc.value.code == 2
 
 
 class TestSmallQueries:
@@ -146,11 +151,34 @@ class TestVerify:
     def test_failed_bound_exits_1(self, tmp_path, capsys, monkeypatch):
         report = verify_t1([ONE, OMEGA, EInt(2, 0)])
         failing = dataclasses.replace(report, passed=False)
-        monkeypatch.setattr(cli, "verify_t1", lambda elements: failing)
+        monkeypatch.setattr(bounds, "verify_t1",
+                            lambda elements, seed=None: failing)
         path = write_set(tmp_path, "s.txt", ["1,0", "0,1", "2,0"])
         code, out, _ = run_cli(["verify", "t1", "--set", path], capsys)
         assert code == 1
         assert json.loads(out)["all_passed"] is False
+
+    @pytest.mark.parametrize("shape", [
+        ["--trials", "0"], ["--trials", "-1"], ["--size", "1"],
+        ["--size", "-3"],
+    ])
+    def test_bad_trial_shape(self, capsys, shape):
+        code, out, _ = run_cli(["verify", "t1", *shape], capsys)
+        assert code == 2
+        assert out == ""
+
+    def test_range_too_small_for_size(self):
+        # this once looped forever, hence the subprocess and the timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulab.cli", "verify", "t1", "--size",
+             "50", "--range", "2"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "range too small" in proc.stderr
+
+    def test_tokens_follow_theorems(self):
+        assert cli.VERIFY_TOKENS == ("t1", "t2", "cor1", "cor2",
+                                     "rho-minus1", "erdos-turan")
 
     def test_bad_theorem_token(self):
         with pytest.raises(SystemExit) as exc:
@@ -197,6 +225,11 @@ class TestRefine:
         code, _, err = run_cli(["refine", "--set", path], capsys)
         assert code == 2
         assert f"{path}:2:" in err
+        path = write_set(tmp_path, "big.txt",
+                         ["1,0", "9223372036854775808,0"])
+        code, _, err = run_cli(["refine", "--set", path], capsys)
+        assert code == 2
+        assert f"{path}:2:" in err
 
     def test_comments_and_blanks_skipped(self, tmp_path, capsys):
         path = write_set(tmp_path, "c.txt",
@@ -214,6 +247,16 @@ class TestRefine:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["refine", "--set", "/no/such/file"], capsys)
         assert code == 2
+
+    def test_twisted_sum_out_of_range(self, tmp_path, capsys):
+        # every element fits in 64 bits, but a + rho*b does not
+        path = write_set(tmp_path, "wide.txt",
+                         ["4611686018427387904,0", "1,0"])
+        code, out, err = run_cli(["refine", "--set", path, "--rho", "2,1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "64-bit" in err
 
 
 class TestSearch:

@@ -1,11 +1,14 @@
 """Pair-prime cache and the exhaustive subset search."""
 
 import math
+import multiprocessing
 
 import pytest
 
 from eulab.factor import factor_rational
-from eulab.search import MAX_TABLE_ELEMENT, PairPrimeCache, run_search
+from eulab.search import (
+    MAX_TABLE_ELEMENT, PairPrimeCache, _row_table, _slice, run_search,
+)
 
 from oracles import brute_force_search
 
@@ -64,6 +67,9 @@ class TestRunSearch:
         assert result.minimum == best
         assert list(result.witnesses) == witnesses
         assert result.witness_count == len(witnesses)
+        first = run_search(cache60, k, m, primitive_only=primitive)
+        assert first.minimum == best
+        assert list(first.witnesses) == witnesses[:1]
 
     def test_first_witness_mode(self, cache60):
         full = run_search(cache60, 3, 40, all_witnesses=True)
@@ -72,14 +78,28 @@ class TestRunSearch:
         assert first.witnesses == full.witnesses[:1]
         assert first.minimum == full.minimum
 
-    def test_workers_agree(self, cache60):
+    @pytest.mark.parametrize("all_witnesses", [True, False])
+    def test_workers_agree(self, cache60, all_witnesses):
         one = run_search(cache60, 3, 50, primitive_only=True,
-                         all_witnesses=True, workers=1)
+                         all_witnesses=all_witnesses, workers=1)
         four = run_search(cache60, 3, 50, primitive_only=True,
-                          all_witnesses=True, workers=4)
+                          all_witnesses=all_witnesses, workers=4)
         assert one.minimum == four.minimum
         assert one.witnesses == four.witnesses
         assert one.witness_count == four.witness_count
+
+    def test_slice_keeps_own_witness_under_published_minimum(self, cache60):
+        # Another worker may publish the minimum before this slice reaches
+        # its own first witness; the slice must still report that witness.
+        best, witnesses = brute_force_search(3, 40, True, cache=cache60)
+        pm = _row_table(cache60, 40)
+        for firsts in (range(1, 41, 2), range(2, 41, 2)):
+            shared = multiprocessing.Value("q", best)
+            got_best, found, _ = _slice(pm, 40, 3, firsts, shared, True,
+                                        False)
+            own = [w for w in witnesses if w[0] in firsts]
+            assert got_best == best
+            assert found == own[:1]
 
     def test_smaller_max_element_reuses_cache(self, cache60):
         direct = PairPrimeCache(20)
