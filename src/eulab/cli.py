@@ -403,7 +403,12 @@ def main(argv=None) -> int:
         text = json.dumps(out, indent=2) + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            print(f"eulab: cannot write {out_path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 

@@ -162,19 +162,22 @@ def omega_product(spec: SparsePolySpec, a_set: Iterable[int],
 
     Each value is factored separately and the prime supports are united.
     Values are positive by construction; any value beyond the 64-bit
-    factorization range raises with the offending pair named.
+    factorization range raises with the offending pair named.  Every term
+    is positive, so f(x, y) >= x^m for the largest exponent m; once
+    m * (bit_length(x) - 1) >= 63 the pair is refused before x^m is built.
     """
     a_elems = _positive_elements(a_set, "A")
     b_elems = _positive_elements(b_set, "B")
     if not a_elems or not b_elems:
         raise ValueError("both sets must be nonempty")
+    top = max(spec.m)
     primes: set[int] = set()
     for x in a_elems:
         for y in b_elems:
-            v = spec.evaluate(x, y)
-            if v > INT64_MAX:
+            if (top * (x.bit_length() - 1) >= 63
+                    or (v := spec.evaluate(x, y)) > INT64_MAX):
                 raise ValueError(
-                    f"f({x},{y}) = {v} exceeds the 64-bit factoring range")
+                    f"f({x},{y}) exceeds the 64-bit factoring range")
             for p, _ in factor_rational(v).factors:
                 primes.add(p)
     return len(primes)

@@ -2,30 +2,28 @@
 
 For a k-element set S of integers from {1..M} let omega(S) count the
 distinct rational primes dividing the product of a^2 + a*b + b^2 over all
-pairs from S.  The searcher finds min omega(S) by branch and bound and can
-enumerate every witness attaining it.
+pairs from S.  The searcher finds min omega(S) and can enumerate every
+witness attaining it.
 
 The bound is the plain monotonicity of omega: growing a set never removes
-primes.  A depth-first scan over ascending tuples carries the union of
-pair primes seen so far and abandons a branch as soon as that union
-exceeds a ceiling.  One pass does the whole job: the ceiling is the best
-complete set known, and every complete set tying it is kept until a
-better one resets the list (branch and bound with an incumbent that
-collects ties, Carraghan & Pardalos 1990).  In first-witness mode the
-ceiling sits one below the best, so only strictly better sets are sought
-once a witness is in hand.
+primes.  The search runs passes at the fixed ceilings 0, 1, 2, ...; each
+pass enumerates, in lexicographic order, the k-sets whose union of pair
+primes stays within its ceiling, and the first ceiling that yields a set
+is the minimum.  A node carries its candidate next elements together
+with the union each would give; a child only filters its parent's list,
+and a node with fewer candidates than elements still needed is cut
+(candidate-set branch and bound, Carraghan & Pardalos 1990).
 
 Prime sets per pair are kept as tuples of dense indices into the sorted
-prime list; a 2000-element table would need tens of thousands of bits per
-mask, so the hot loop unions small frozensets instead of big integers.
-Workers are forked processes sharing the pair table copy-on-write and a
-locked incumbent, which each polls every 2048 nodes to tighten its own
-ceiling; node counts therefore depend on their timing, the results do
-not.
+prime list, and the hot loop unions small frozensets of them.  Workers
+are forked processes that split the first elements and share nothing
+but the read-only pair table, so node counts do not depend on timing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import multiprocessing
 import time
@@ -35,7 +33,6 @@ from typing import Iterable, Sequence
 from eulab.factor import factor_rational
 
 MAX_TABLE_ELEMENT = 2000
-_BIG = 1 << 30
 
 
 class PairPrimeCache:
@@ -43,8 +40,7 @@ class PairPrimeCache:
 
     primes holds every rational prime that divides some pair value, in
     increasing order; a prime's position is its dense index.  indices(a, b)
-    is the sorted tuple of indices for one pair, and pair_mask packs it
-    into an integer bitmask on demand.
+    is the sorted tuple of indices for one pair.
     """
 
     def __init__(self, max_element: int) -> None:
@@ -75,12 +71,6 @@ class PairPrimeCache:
 
     def indices(self, a: int, b: int) -> tuple[int, ...]:
         return self.pair_indices[self._key(a, b)]
-
-    def pair_mask(self, a: int, b: int) -> int:
-        mask = 0
-        for i in self.pair_indices[self._key(a, b)]:
-            mask |= 1 << i
-        return mask
 
     def omega_of_set(self, elements: Iterable[int]) -> int:
         elems = sorted(set(elements))
@@ -130,74 +120,70 @@ def _row_table(cache: PairPrimeCache, max_element: int,
     return pm
 
 
-def _slice(pm, max_element: int, k: int, firsts: Sequence[int], shared,
-           primitive_only: bool, all_witnesses: bool,
-           ) -> tuple[int, list[tuple[int, ...]], int]:
-    """Branch and bound over the subtrees rooted at the given first
-    elements.  Returns (best omega of a complete set seen here, the sets
-    that reached it, nodes).  With all_witnesses every such set is kept;
-    otherwise only the lexicographically first of this slice.
+def _slice(pm, max_element: int, k: int, firsts: Sequence[int],
+           ceiling: int, primitive_only: bool, all_witnesses: bool,
+           ) -> tuple[list[tuple[int, ...]], int]:
+    """Enumerate, in lexicographic order, the k-sets rooted at the given
+    first elements whose union of pair primes has at most ceiling primes.
+    Returns (the sets, nodes).  Without all_witnesses only the first set
+    is returned.
 
-    A node is cut once its union exceeds min(shared incumbent, best - slack),
-    slack being 1 in first-witness mode, where ties with the slice's own
-    best are no longer wanted.  The shared value alone never cuts a tie:
-    another slice holding the minimum must not hide this slice's
-    lexicographically smaller witness."""
+    A node holds candidates (e, U_e), U_e being the union for elems + [e],
+    already within the ceiling.  Choosing e keeps (f, U_e | U_f | pm[e][f])
+    for each later candidate f still within it; a node left with fewer
+    candidates than elements still needed is cut.  Each mask tested
+    against the ceiling counts as one node."""
     nodes = 0
-    best = _BIG
     found: list[tuple[int, ...]] = []
-    slack = 0 if all_witnesses else 1
-    ceiling = _BIG
     gcd = math.gcd
     elems: list[int] = []
 
-    def extend(mask, last: int, depth: int) -> None:
-        nonlocal nodes, best, ceiling
-        rows = [pm[x] for x in elems]
-        leaf = depth + 1 == k
-        for e in range(last + 1, max_element - (k - depth - 1) + 1):
-            nodes += 1
-            if nodes & 2047 == 0:
-                ceiling = min(shared.value, best - slack)
-            m = mask
-            for row in rows:
-                m = m | row[e]
-            pc = len(m)
-            if pc > ceiling:
-                continue
-            if leaf:
-                if primitive_only and gcd(*elems, e) != 1:
+    def extend(cands: list, need: int) -> bool:
+        """Choose the remaining need elements from cands; True once the
+        first set is in hand and no more are wanted."""
+        nonlocal nodes
+        if need == 1:
+            g = gcd(*elems)
+            for e, _ in cands:
+                if primitive_only and gcd(g, e) != 1:
                     continue
-                if pc < best:
-                    best = pc
-                    found.clear()
-                    with shared.get_lock():
-                        if pc < shared.value:
-                            shared.value = pc
-                        ceiling = min(shared.value, best - slack)
                 found.append((*elems, e))
-            else:
-                elems.append(e)
-                extend(m, e, depth + 1)
-                elems.pop()
+                if not all_witnesses:
+                    return True
+            return False
+        for i in range(len(cands) - need + 1):
+            e, u = cands[i]
+            row = pm[e]
+            later = cands[i + 1:]
+            nodes += len(later)
+            child = [(f, m) for f, uf in later
+                     if len(m := u | uf | row[f]) <= ceiling]
+            if len(child) < need - 1:
+                continue
+            elems.append(e)
+            done = extend(child, need - 1)
+            elems.pop()
+            if done:
+                return True
+        return False
 
-    empty = frozenset()
     for a in firsts:
-        nodes += 1
+        row = pm[a]
+        nodes += max_element - a
+        cands = [(e, row[e]) for e in range(a + 1, max_element + 1)
+                 if len(row[e]) <= ceiling]
         elems[:] = [a]
-        extend(empty, a, 1)
-    return best, found, nodes
+        if extend(cands, k - 1):
+            break
+    return found, nodes
 
 
-# State inherited by forked workers: the row table is large and read-only,
-# the incumbent is a locked shared integer.
+# The row table, inherited read-only by forked workers.
 _FORK: dict = {}
 
 
 def _entry(args):
-    firsts, max_element, k, primitive_only, all_witnesses = args
-    return _slice(_FORK["pm"], max_element, k, firsts, _FORK["inc"],
-                  primitive_only, all_witnesses)
+    return _slice(_FORK["pm"], *args)
 
 
 def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
@@ -208,11 +194,13 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
     A cache built for a larger table can serve any smaller max_element.
     With all_witnesses the full list of minimum sets is returned in
     lexicographic order; otherwise only the lexicographically first.
-    The tree is walked once: each worker runs a branch and bound over
-    its own first elements, keeping the sets that tie its best so far.
-    minimum, witnesses and witness_count do not depend on the worker
-    count.  nodes_visited is exact at workers=1; with more workers it
-    depends on when each one sees the others' incumbent.
+    The search runs ceiling passes 0, 1, 2, ...: each enumerates the
+    k-sets whose pair primes stay within the ceiling, split by first
+    element over the workers, and the first ceiling that yields a set
+    is the minimum.  Workers are capped at the max_element - k + 1 first
+    elements that can start a k-set.  Results never depend on the worker
+    count; nodes_visited depends on it only in first-witness mode, where
+    each slice stops at its own first set, and never on timing.
     """
     if max_element is None:
         max_element = cache.max_element
@@ -222,41 +210,38 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
         raise ValueError("k must be in 2..max_element")
     if workers < 1:
         raise ValueError("workers must be positive")
+    starts = max_element - k + 1
+    workers = min(workers, starts)
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         workers = 1
 
     start = time.perf_counter()
-    pm = _row_table(cache, max_element)
-    slices = [list(range(w + 1, max_element + 1, workers))
-              for w in range(workers)]
+    slices = [range(w + 1, starts + 1, workers) for w in range(workers)]
+    nodes = 0
+    with contextlib.ExitStack() as stack:
+        _FORK["pm"] = _row_table(cache, max_element)
+        stack.callback(_FORK.clear)
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(
+                multiprocessing.get_context("fork").Pool(workers)).map
+        for ceiling in itertools.count():
+            parts = list(mapper(_entry, [
+                (max_element, k, s, ceiling, primitive_only, all_witnesses)
+                for s in slices]))
+            nodes += sum(n for _, n in parts)
+            witnesses = sorted(w for sets, _ in parts for w in sets)
+            if witnesses:
+                break
 
-    if workers == 1:
-        parts = [_slice(pm, max_element, k, slices[0],
-                        multiprocessing.Value("q", _BIG), primitive_only,
-                        all_witnesses)]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        _FORK["pm"] = pm
-        _FORK["inc"] = ctx.Value("q", _BIG)
-        try:
-            with ctx.Pool(workers) as pool:
-                parts = pool.map(_entry, [
-                    (s, max_element, k, primitive_only, all_witnesses)
-                    for s in slices])
-        finally:
-            _FORK.clear()
-
-    minimum = min(best for best, _, _ in parts)
-    witnesses = sorted(w for best, found, _ in parts if best == minimum
-                       for w in found)
     if not all_witnesses:
         witnesses = witnesses[:1]
     seconds = time.perf_counter() - start
     return SearchResult(
         k=k, max_element=max_element, primitive_only=primitive_only,
-        all_witnesses=all_witnesses, minimum=minimum,
+        all_witnesses=all_witnesses, minimum=ceiling,
         witness_count=len(witnesses), witnesses=tuple(witnesses),
-        nodes_visited=sum(n for _, _, n in parts), seconds=seconds)
+        nodes_visited=nodes, seconds=seconds)
 
 
 __all__ = ["MAX_TABLE_ELEMENT", "PairPrimeCache", "SearchResult",

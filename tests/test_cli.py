@@ -290,6 +290,15 @@ class TestSearch:
         obj = json.loads(target.read_text())
         assert obj["k"] == 2 and obj["max"] == 12
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            ["search", "--k", "2", "--max", "5", "--out", str(target)],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert f"eulab: cannot write {target}" in err
+
     def test_digest_ignores_timing(self, capsys):
         argv = ["search", "--k", "3", "--max", "20"]
         _, _, err1 = run_cli(argv, capsys)
@@ -346,6 +355,21 @@ class TestPolyprod:
             capsys)
         assert code == 2
         assert "invalid JSON" in err
+
+    def test_huge_exponent_exits_2(self, tmp_path, capsys):
+        # 2^(10^8) is refused before it is built, and the message names
+        # the pair instead of printing a 30-million-digit value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 3, "r": [1, 1, 1],
+                                    "m": [10**8, 1]}))
+        a = write_set(tmp_path, "a.txt", [str(v) for v in range(2, 7)])
+        b = write_set(tmp_path, "b.txt", [str(v) for v in range(2, 6)])
+        code, out, err = run_cli(
+            ["polyprod", "--poly", str(path), "--set-a", a, "--set-b", b],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert "eulab: f(2,2) exceeds the 64-bit factoring range" in err
 
     def test_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "short.json"

@@ -1,5 +1,6 @@
 """Pair-prime cache and the exhaustive subset search."""
 
+import itertools
 import math
 import multiprocessing
 
@@ -33,12 +34,6 @@ class TestPairPrimeCache:
 
     def test_indices_ignore_argument_order(self, cache60):
         assert cache60.indices(7, 3) == cache60.indices(3, 7)
-
-    def test_pair_mask_bits(self, cache60):
-        mask = cache60.pair_mask(1, 2)
-        assert mask.bit_count() == len(cache60.indices(1, 2))
-        for i in cache60.indices(1, 2):
-            assert mask >> i & 1
 
     def test_omega_examples(self, cache60):
         assert cache60.omega_of_set([1, 2, 3]) == 3
@@ -88,18 +83,51 @@ class TestRunSearch:
         assert one.witnesses == four.witnesses
         assert one.witness_count == four.witness_count
 
-    def test_slice_keeps_own_witness_under_published_minimum(self, cache60):
-        # Another worker may publish the minimum before this slice reaches
-        # its own first witness; the slice must still report that witness.
-        best, witnesses = brute_force_search(3, 40, True, cache=cache60)
+    def test_slice_enumerates_sets_within_ceiling(self, cache60):
+        # a slice returns exactly the sets rooted at its first elements
+        # whose omega is within the ceiling, in order; the first of them
+        # in first-witness mode
+        best, _ = brute_force_search(3, 40, True, cache=cache60)
         pm = _row_table(cache60, 40)
         for firsts in (range(1, 41, 2), range(2, 41, 2)):
-            shared = multiprocessing.Value("q", best)
-            got_best, found, _ = _slice(pm, 40, 3, firsts, shared, True,
-                                        False)
-            own = [w for w in witnesses if w[0] in firsts]
-            assert got_best == best
-            assert found == own[:1]
+            for ceiling in (best - 1, best, best + 1):
+                expect = [s for s in itertools.combinations(range(1, 41), 3)
+                          if s[0] in firsts and math.gcd(*s) == 1
+                          and cache60.omega_of_set(s) <= ceiling]
+                found, nodes = _slice(pm, 40, 3, firsts, ceiling, True, True)
+                assert found == expect
+                assert nodes > 0
+                found, _ = _slice(pm, 40, 3, firsts, ceiling, True, False)
+                assert found == expect[:1]
+
+    def test_nodes_do_not_depend_on_timing(self, cache60):
+        # shapes where a shared incumbent made the counts vary run to run
+        one = run_search(cache60, 4, 40, primitive_only=True,
+                         all_witnesses=True, workers=1)
+        four = run_search(cache60, 4, 40, primitive_only=True,
+                          all_witnesses=True, workers=4)
+        assert one.nodes_visited == four.nodes_visited
+        runs = [run_search(cache60, 5, 30, primitive_only=True, workers=2)
+                for _ in range(2)]
+        assert runs[0].nodes_visited == runs[1].nodes_visited
+
+    def test_workers_capped_at_first_elements(self, cache60, monkeypatch):
+        # only max - k + 1 = 3 first elements can start a 3-set of 1..5
+        fork = multiprocessing.get_context("fork")
+        sizes = []
+
+        class Spy:
+            def Pool(self, processes):
+                sizes.append(processes)
+                return fork.Pool(processes)
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: Spy())
+        eight = run_search(cache60, 3, 5, workers=8)
+        assert sizes and max(sizes) <= 3
+        one = run_search(cache60, 3, 5, workers=1)
+        assert (eight.minimum, eight.witnesses, eight.witness_count) == (
+            one.minimum, one.witnesses, one.witness_count)
 
     def test_smaller_max_element_reuses_cache(self, cache60):
         direct = PairPrimeCache(20)
