@@ -36,7 +36,7 @@ from eulab.factor import factor_e, factor_rational, omega_e, tau_e
 from eulab.polyprod import (
     SparsePolySpec, build_vectors, check_independence, omega_product,
 )
-from eulab.search import PairPrimeCache, run_search
+from eulab.search import PairPrimeCache, check_search, run_search
 
 VERIFY_TOKENS = tuple(t.replace("_", "-") for t in THEOREMS)
 _VOLATILE_KEYS = ("seconds", "nodes_visited")
@@ -187,6 +187,7 @@ def _cmd_refine(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
+    check_search(args.k, args.max, args.workers)
     print(f"building pair table for max element {args.max} ...",
           file=sys.stderr)
     cache = PairPrimeCache(args.max)

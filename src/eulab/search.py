@@ -14,7 +14,11 @@ with the union each would give; a child only filters its parent's list,
 and a node with fewer candidates than elements still needed is cut
 (candidate-set branch and bound, Carraghan & Pardalos 1990).
 
-Prime sets per pair are kept as tuples of dense indices into the sorted
+The pair table is line-sieved rather than factored pair by pair: in row
+a, a prime p divides a^2 + a*b + b^2 along the progressions b = a*r
+(mod p), r a root of x^2 + x + 1 mod p, or b = 0 (mod p) when p | a, as
+the quadratic sieve walks root progressions (Pomerance 1982).  Prime
+sets per pair are kept as tuples of dense indices into the sorted
 prime list, and the hot loop unions small frozensets of them.  Workers
 are forked processes that split the first elements and share nothing
 but the read-only pair table, so node counts do not depend on timing.
@@ -30,17 +34,37 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from eulab.factor import factor_rational
+from eulab.factor import _sieve
 
 MAX_TABLE_ELEMENT = 2000
 
 
+def _roots_x2_x_1(p: int) -> tuple[int, ...]:
+    """The roots of x^2 + x + 1 mod the prime p: 1 for p = 3, the two
+    primitive cube roots of unity for p = 1 (mod 3), none otherwise."""
+    if p == 3:
+        return (1,)
+    if p % 3 != 1:
+        return ()
+    for g in itertools.count(2):
+        r = pow(g, (p - 1) // 3, p)
+        if r != 1:
+            return (r, r * r % p)
+
+
 class PairPrimeCache:
-    """Factorizations of a^2 + a*b + b^2 for all 1 <= a < b <= max_element.
+    """Prime sets of a^2 + a*b + b^2 for all 1 <= a < b <= max_element.
 
     primes holds every rational prime that divides some pair value, in
     increasing order; a prime's position is its dense index.  indices(a, b)
     is the sorted tuple of indices for one pair.
+
+    The table is line-sieved row by row.  In row a a prime p divides
+    a^2 + a*b + b^2 exactly when b = 0 (mod p) if p | a, and otherwise when
+    b = a*r (mod p) for a root r of x^2 + x + 1 mod p; such roots exist
+    only for p = 3 and p = 1 (mod 3).  The sieve primes run to
+    isqrt(3 * max_element^2), so the cofactor left after dividing them out
+    of a pair value, which is below 3 * max_element^2, is 1 or a prime.
     """
 
     def __init__(self, max_element: int) -> None:
@@ -48,19 +72,37 @@ class PairPrimeCache:
             raise ValueError(
                 f"max_element must be in 2..{MAX_TABLE_ELEMENT}")
         self.max_element = max_element
-        pair_primes: dict[tuple[int, int], tuple[int, ...]] = {}
-        seen: set[int] = set()
-        for a in range(1, max_element):
-            for b in range(a + 1, max_element + 1):
-                ps = tuple(p for p, _ in
-                           factor_rational(a * a + a * b + b * b).factors)
-                pair_primes[(a, b)] = ps
-                seen.update(ps)
-        self.primes: tuple[int, ...] = tuple(sorted(seen))
-        index = {p: i for i, p in enumerate(self.primes)}
+        m = max_element
+        roots = [(p, _roots_x2_x_1(p))
+                 for p in _sieve(math.isqrt(3 * m * m))]
+        # The prime lists of all pairs, in the order (1, 2), (1, 3), ...
+        table: list[list[int]] = []
+        for a in range(1, m):
+            # Slot i of the row holds the pair (a, a + 1 + i).  Primes are
+            # appended in increasing order, and a prime cofactor exceeds
+            # every sieve prime, so each list comes out sorted.
+            n = m - a
+            vals = [a * a + a * b + b * b for b in range(a + 1, m + 1)]
+            row: list[list[int]] = [[] for _ in range(n)]
+            for p, rs in roots:
+                starts = (0,) if a % p == 0 else [a * r for r in rs]
+                for c in starts:
+                    for i in range((c - a - 1) % p, n, p):
+                        v = vals[i] // p
+                        while v % p == 0:
+                            v //= p
+                        vals[i] = v
+                        row[i].append(p)
+            for v, ps in zip(vals, row):
+                if v > 1:
+                    ps.append(v)
+            table += row
+        self.primes: tuple[int, ...] = tuple(
+            sorted(set(itertools.chain.from_iterable(table))))
+        index = {p: i for i, p in enumerate(self.primes)}.__getitem__
+        pairs = itertools.combinations(range(1, m + 1), 2)
         self.pair_indices: dict[tuple[int, int], tuple[int, ...]] = {
-            ab: tuple(index[p] for p in ps)
-            for ab, ps in pair_primes.items()}
+            ab: tuple(map(index, ps)) for ab, ps in zip(pairs, table)}
 
     def _key(self, a: int, b: int) -> tuple[int, int]:
         if a == b:
@@ -186,6 +228,15 @@ def _entry(args):
     return _slice(_FORK["pm"], *args)
 
 
+def check_search(k: int, max_element: int, workers: int) -> None:
+    """Reject a search shape that run_search would refuse, before a
+    caller spends time building the pair table for it."""
+    if not 2 <= k <= max_element:
+        raise ValueError("k must be in 2..max_element")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+
+
 def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
                *, primitive_only: bool = False, all_witnesses: bool = False,
                workers: int = 1) -> SearchResult:
@@ -206,10 +257,7 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
         max_element = cache.max_element
     if max_element > cache.max_element:
         raise ValueError("cache too small for the requested max_element")
-    if not 2 <= k <= max_element:
-        raise ValueError("k must be in 2..max_element")
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    check_search(k, max_element, workers)
     starts = max_element - k + 1
     workers = min(workers, starts)
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -245,4 +293,4 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
 
 
 __all__ = ["MAX_TABLE_ELEMENT", "PairPrimeCache", "SearchResult",
-           "run_search"]
+           "check_search", "run_search"]

@@ -44,6 +44,23 @@ def gcd_by_factoring(x: EInt, y: EInt):
     return g.canonical_associate()[0]
 
 
+def pair_primes_naive(a: int, b: int) -> tuple[int, ...]:
+    """The distinct primes of a^2 + a*b + b^2, increasing, by trial
+    division; shares no code with eulab."""
+    n = a * a + a * b + b * b
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def brute_force_search(k: int, max_element: int, primitive_only: bool,
                        cache=None):
     """Full enumeration reference for the subset search (small M only)."""

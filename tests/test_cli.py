@@ -314,6 +314,16 @@ class TestSearch:
                                capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [["--k", "1"],
+                                       ["--k", "3", "--workers", "0"]])
+    def test_bad_shape_exits_before_table(self, capsys, monkeypatch, extra):
+        built = []
+        monkeypatch.setattr(cli, "PairPrimeCache", built.append)
+        code, _, err = run_cli(["search", "--max", "2000", *extra], capsys)
+        assert code == 2
+        assert "eulab:" in err
+        assert built == []
+
 
 class TestPolyprod:
     @pytest.fixture()

@@ -11,7 +11,7 @@ from eulab.search import (
     MAX_TABLE_ELEMENT, PairPrimeCache, _row_table, _slice, run_search,
 )
 
-from oracles import brute_force_search
+from oracles import brute_force_search, pair_primes_naive
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +26,29 @@ class TestPairPrimeCache:
         assert flat == set(range(len(cache60.primes)))
 
     def test_indices_match_direct_factorization(self, cache60):
-        for a, b in [(1, 2), (3, 5), (17, 24), (59, 60)]:
+        for a, b in itertools.combinations(range(1, 61), 2):
             v = a * a + a * b + b * b
             expect = tuple(p for p, _ in factor_rational(v).factors)
             got = tuple(cache60.primes[i] for i in cache60.indices(a, b))
             assert got == expect
+
+    @pytest.mark.parametrize("m", [*range(2, 61), 400])
+    def test_matches_naive_oracle(self, m):
+        naive = {(a, b): pair_primes_naive(a, b)
+                 for a in range(1, m) for b in range(a + 1, m + 1)}
+        primes = tuple(sorted({p for ps in naive.values() for p in ps}))
+        index = {p: i for i, p in enumerate(primes)}
+        cache = PairPrimeCache(m)
+        assert cache.primes == primes
+        assert cache.pair_indices == {
+            ab: tuple(index[p] for p in ps) for ab, ps in naive.items()}
+
+    def test_ignores_sieve_limit(self, monkeypatch):
+        default = PairPrimeCache(100)
+        monkeypatch.setenv("EULAB_SIEVE_LIMIT", "2")
+        limited = PairPrimeCache(100)
+        assert limited.primes == default.primes
+        assert limited.pair_indices == default.pair_indices
 
     def test_indices_ignore_argument_order(self, cache60):
         assert cache60.indices(7, 3) == cache60.indices(3, 7)
