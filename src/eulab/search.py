@@ -19,13 +19,19 @@ a, a prime p divides a^2 + a*b + b^2 along the progressions b = a*r
 (mod p), r a root of x^2 + x + 1 mod p, or b = 0 (mod p) when p | a, as
 the quadratic sieve walks root progressions (Pomerance 1982).  Prime
 sets per pair are kept as tuples of dense indices into the sorted
-prime list, and the hot loop unions small frozensets of them.  Workers
-are forked processes that split the first elements and share nothing
-but the read-only pair table, so node counts do not depend on timing.
+prime list.  For a search they become int bitmasks, unioned with | and
+counted with bit_count() as in bit-parallel clique search (San Segundo
+et al. 2011): primes shared by two or more pairs in range take one bit
+each, most frequent first, and a prime of a single pair is kept as a
+per-pair count, since it joins a union exactly when its pair is chosen.
+Workers are forked processes that split the first elements and share
+nothing but the read-only row table, so node counts do not depend on
+timing.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import math
@@ -152,26 +158,53 @@ class SearchResult:
 
 
 def _row_table(cache: PairPrimeCache, max_element: int,
-               ) -> list[list[frozenset]]:
-    """pm[a][b] = frozenset of prime indices of the pair (a, b), a < b."""
-    empty = frozenset()
-    pm = [[empty] * (max_element + 1) for _ in range(max_element + 1)]
-    for (a, b), idx in cache.pair_indices.items():
-        if b <= max_element:
-            pm[a][b] = frozenset(idx)
-    return pm
+               ) -> tuple[list[list[int]], list[list[int]]]:
+    """(pm, sc) for the pairs a < b <= max_element: pm[a][b] is an int
+    mask of the pair's primes that divide two or more pair values in
+    that range, sc[a][b] the number of its primes that divide no other.
+
+    Masks index primes locally, most frequent first (ties by prime
+    index), so the primes most unions share take the low bits.  A prime
+    of a single pair value joins a union exactly when its pair is
+    chosen, so it needs no bit: it is counted with the pair."""
+    # rows[a - 1][b - a - 1] holds the prime indices of the pair (a, b)
+    rows = [[cache.pair_indices[(a, b)]
+             for b in range(a + 1, max_element + 1)]
+            for a in range(1, max_element)]
+    freq = collections.Counter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(rows)))
+    shared = sorted((i for i, n in freq.items() if n > 1),
+                    key=lambda i: (-freq[i], i))
+    bit = {i: j for j, i in enumerate(shared)}
+    pm = [[0] * (max_element + 1) for _ in range(max_element + 1)]
+    sc = [[0] * (max_element + 1) for _ in range(max_element + 1)]
+    for a, row in enumerate(rows, 1):
+        for b, idx in enumerate(row, a + 1):
+            mask = singles = 0
+            for i in idx:
+                if i in bit:
+                    mask |= 1 << bit[i]
+                else:
+                    singles += 1
+            pm[a][b] = mask
+            sc[a][b] = singles
+    return pm, sc
 
 
-def _slice(pm, max_element: int, k: int, firsts: Sequence[int],
+def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
            ceiling: int, primitive_only: bool, all_witnesses: bool,
            ) -> tuple[list[tuple[int, ...]], int]:
     """Enumerate, in lexicographic order, the k-sets rooted at the given
     first elements whose union of pair primes has at most ceiling primes.
+    pm and sc are the masks and single-pair counts of _row_table.
     Returns (the sets, nodes).  Without all_witnesses only the first set
     is returned.
 
-    A node holds candidates (e, U_e), U_e being the union for elems + [e],
-    already within the ceiling.  Choosing e keeps (f, U_e | U_f | pm[e][f])
+    A node holds the single-pair count base of the chosen elements and
+    candidates (e, U_e, d_e): U_e is the mask of the union for
+    elems + [e] and d_e the single-pair count of e's pairs with elems,
+    so U_e has U_e.bit_count() + base + d_e primes, already within the
+    ceiling.  Choosing e keeps (f, U_e | U_f | pm[e][f], d_f + sc[e][f])
     for each later candidate f still within it; a node left with fewer
     candidates than elements still needed is cut.  Each mask tested
     against the ceiling counts as one node."""
@@ -180,13 +213,13 @@ def _slice(pm, max_element: int, k: int, firsts: Sequence[int],
     gcd = math.gcd
     elems: list[int] = []
 
-    def extend(cands: list, need: int) -> bool:
+    def extend(cands: list, need: int, base: int) -> bool:
         """Choose the remaining need elements from cands; True once the
         first set is in hand and no more are wanted."""
         nonlocal nodes
         if need == 1:
             g = gcd(*elems)
-            for e, _ in cands:
+            for e, _, _ in cands:
                 if primitive_only and gcd(g, e) != 1:
                     continue
                 found.append((*elems, e))
@@ -194,16 +227,19 @@ def _slice(pm, max_element: int, k: int, firsts: Sequence[int],
                     return True
             return False
         for i in range(len(cands) - need + 1):
-            e, u = cands[i]
+            e, u, du = cands[i]
             row = pm[e]
+            srow = sc[e]
+            room = ceiling - (base + du)
             later = cands[i + 1:]
             nodes += len(later)
-            child = [(f, m) for f, uf in later
-                     if len(m := u | uf | row[f]) <= ceiling]
+            child = [(f, m, d) for f, uf, df in later
+                     if (m := u | uf | row[f]).bit_count()
+                     + (d := df + srow[f]) <= room]
             if len(child) < need - 1:
                 continue
             elems.append(e)
-            done = extend(child, need - 1)
+            done = extend(child, need - 1, base + du)
             elems.pop()
             if done:
                 return True
@@ -211,11 +247,12 @@ def _slice(pm, max_element: int, k: int, firsts: Sequence[int],
 
     for a in firsts:
         row = pm[a]
+        srow = sc[a]
         nodes += max_element - a
-        cands = [(e, row[e]) for e in range(a + 1, max_element + 1)
-                 if len(row[e]) <= ceiling]
+        cands = [(e, row[e], srow[e]) for e in range(a + 1, max_element + 1)
+                 if row[e].bit_count() + srow[e] <= ceiling]
         elems[:] = [a]
-        if extend(cands, k - 1):
+        if extend(cands, k - 1, 0):
             break
     return found, nodes
 
@@ -225,7 +262,7 @@ _FORK: dict = {}
 
 
 def _entry(args):
-    return _slice(_FORK["pm"], *args)
+    return _slice(*_FORK["table"], *args)
 
 
 def check_search(k: int, max_element: int, workers: int) -> None:
@@ -267,7 +304,7 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
     slices = [range(w + 1, starts + 1, workers) for w in range(workers)]
     nodes = 0
     with contextlib.ExitStack() as stack:
-        _FORK["pm"] = _row_table(cache, max_element)
+        _FORK["table"] = _row_table(cache, max_element)
         stack.callback(_FORK.clear)
         mapper = map
         if workers > 1:

@@ -7,6 +7,7 @@ beyond basic ring arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -44,6 +45,7 @@ def gcd_by_factoring(x: EInt, y: EInt):
     return g.canonical_associate()[0]
 
 
+@functools.cache
 def pair_primes_naive(a: int, b: int) -> tuple[int, ...]:
     """The distinct primes of a^2 + a*b + b^2, increasing, by trial
     division; shares no code with eulab."""
@@ -61,19 +63,21 @@ def pair_primes_naive(a: int, b: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def brute_force_search(k: int, max_element: int, primitive_only: bool,
-                       cache=None):
-    """Full enumeration reference for the subset search (small M only)."""
-    from eulab.search import PairPrimeCache
+def omega_naive(elements) -> int:
+    """omega of the pair product of a set, from pair_primes_naive."""
+    pairs = combinations(sorted(set(elements)), 2)
+    return len(set().union(*(pair_primes_naive(a, b) for a, b in pairs)))
 
-    if cache is None:
-        cache = PairPrimeCache(max_element)
+
+def brute_force_search(k: int, max_element: int, primitive_only: bool):
+    """Full enumeration reference for the subset search (small M only);
+    omega comes from omega_naive, not from the searcher's pair table."""
     best = None
     witnesses: list[tuple[int, ...]] = []
     for s in combinations(range(1, max_element + 1), k):
         if primitive_only and math.gcd(*s) != 1:
             continue
-        om = cache.omega_of_set(s)
+        om = omega_naive(s)
         if best is None or om < best:
             best = om
             witnesses = [s]

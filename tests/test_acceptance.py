@@ -300,8 +300,7 @@ def test_criterion_09(cache400):
     with criterion(9, "branch-and-bound equals brute force, worker count"):
         for m in (20, 40, 60):
             for primitive in (False, True):
-                expect_min, expect_wits = brute_force_search(
-                    3, m, primitive, cache=cache400)
+                expect_min, expect_wits = brute_force_search(3, m, primitive)
                 res = run_search(cache400, 3, m, primitive_only=primitive,
                                  all_witnesses=True, workers=1)
                 assert res.minimum == expect_min, (m, primitive)

@@ -307,6 +307,21 @@ class TestSearch:
         d2 = last_manifest(err2)["output_digest"]
         assert d1 == d2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv,digest", [
+        (["--k", "3", "--max", "60", "--all-witnesses"],
+         "af7ad01361a16288ff9f99692a16e90b9d061f7d12d572197d6d11f8c2049b35"),
+        (["--k", "4", "--max", "100", "--primitive"],
+         "5b19d8f084a711b291e0f0d9ccb802d6e0bc1e52fddfd733707f058d7f0ca244"),
+        (["--k", "8", "--max", "36", "--primitive", "--all-witnesses"],
+         "5ec9ab18a146a33fe849ddbc2c9ce46cd80cfba9044c3259c3ff9c13486376f8"),
+    ], ids=["k3-m60-all", "k4-m100-primitive", "k8-m36-primitive-all"])
+    def test_pinned_digests(self, capsys, argv, digest, workers):
+        code, _, err = run_cli(["search", *argv, "--workers", workers],
+                               capsys)
+        assert code == 0
+        assert last_manifest(err)["output_digest"] == digest
+
     def test_bad_bounds(self, capsys):
         code, _, err = run_cli(["search", "--k", "0", "--max", "10"], capsys)
         assert code == 2

@@ -1,8 +1,12 @@
 """Pair-prime cache and the exhaustive subset search."""
 
+import collections
+import functools
 import itertools
 import math
 import multiprocessing
+import operator
+import random
 
 import pytest
 
@@ -11,12 +15,17 @@ from eulab.search import (
     MAX_TABLE_ELEMENT, PairPrimeCache, _row_table, _slice, run_search,
 )
 
-from oracles import brute_force_search, pair_primes_naive
+from oracles import brute_force_search, omega_naive, pair_primes_naive
 
 
 @pytest.fixture(scope="module")
 def cache60():
     return PairPrimeCache(60)
+
+
+@pytest.fixture(scope="module")
+def cache400():
+    return PairPrimeCache(400)
 
 
 class TestPairPrimeCache:
@@ -69,12 +78,65 @@ class TestPairPrimeCache:
             PairPrimeCache(MAX_TABLE_ELEMENT + 1)
 
 
+class TestRowTable:
+    @pytest.mark.parametrize("cache_name,top", [
+        ("cache60", 20), ("cache60", 41), ("cache60", 60),
+        ("cache400", 60), ("cache400", 151),
+    ])
+    def test_masks_and_counts_match_naive(self, request, cache_name, top):
+        # primes of two or more pairs in range get one bit each, most
+        # frequent first and ties by prime; a prime of one pair is counted
+        cache = request.getfixturevalue(cache_name)
+        pm, sc = _row_table(cache, top)
+        pairs = list(itertools.combinations(range(1, top + 1), 2))
+        freq = collections.Counter(
+            p for a, b in pairs for p in pair_primes_naive(a, b))
+        shared = sorted((p for p, n in freq.items() if n > 1),
+                        key=lambda p: (-freq[p], p))
+        bit = {p: j for j, p in enumerate(shared)}
+        for a, b in pairs:
+            ps = pair_primes_naive(a, b)
+            assert pm[a][b].bit_count() + sc[a][b] == len(ps)
+            assert pm[a][b] == sum(1 << bit[p] for p in ps if p in bit)
+            assert sc[a][b] == sum(p not in bit for p in ps)
+        rng = random.Random(f"row-table:{cache_name}:{top}")
+        for _ in range(300):
+            s = sorted(rng.sample(range(1, top + 1), rng.randint(3, 6)))
+            ab = list(itertools.combinations(s, 2))
+            mask = functools.reduce(operator.or_, (pm[a][b] for a, b in ab))
+            singles = sum(sc[a][b] for a, b in ab)
+            assert mask.bit_count() + singles == omega_naive(s)
+
+    def test_index_is_local_to_range(self, cache400):
+        # a search read from a larger table walks the same tree
+        big = run_search(cache400, 4, 40, primitive_only=True,
+                         all_witnesses=True)
+        small = run_search(PairPrimeCache(40), 4, 40, primitive_only=True,
+                           all_witnesses=True)
+        assert big.witnesses == small.witnesses
+        assert big.nodes_visited == small.nodes_visited
+
+    def test_benchmark_rows_walk_pinned_tree(self):
+        # the benchmark's search rows at one worker: minima as published,
+        # node counts pinned so that a change to the walk shows
+        cache = PairPrimeCache(360)
+        rows = [(3, 140, True, 3, 657_572), (4, 72, True, 4, 199_887),
+                (5, 44, True, 5, 126_928), (6, 36, True, 6, 128_868),
+                (4, 150, False, 4, 801_751), (5, 90, False, 5, 373_572),
+                (7, 64, False, 7, 950_306), (8, 36, True, 9, 694_241)]
+        for k, m, all_witnesses, minimum, nodes in rows:
+            result = run_search(cache, k, m, primitive_only=True,
+                                all_witnesses=all_witnesses, workers=1)
+            assert (result.minimum, result.nodes_visited) == (
+                minimum, nodes), (k, m)
+
+
 class TestRunSearch:
     @pytest.mark.parametrize("k,m,primitive", [
         (3, 40, False), (3, 60, True), (4, 25, False), (2, 30, True),
     ])
     def test_matches_brute_force(self, cache60, k, m, primitive):
-        best, witnesses = brute_force_search(k, m, primitive, cache=cache60)
+        best, witnesses = brute_force_search(k, m, primitive)
         result = run_search(cache60, k, m, primitive_only=primitive,
                             all_witnesses=True)
         assert result.minimum == best
@@ -105,17 +167,19 @@ class TestRunSearch:
         # a slice returns exactly the sets rooted at its first elements
         # whose omega is within the ceiling, in order; the first of them
         # in first-witness mode
-        best, _ = brute_force_search(3, 40, True, cache=cache60)
-        pm = _row_table(cache60, 40)
+        best, _ = brute_force_search(3, 40, True)
+        table = _row_table(cache60, 40)
         for firsts in (range(1, 41, 2), range(2, 41, 2)):
             for ceiling in (best - 1, best, best + 1):
                 expect = [s for s in itertools.combinations(range(1, 41), 3)
                           if s[0] in firsts and math.gcd(*s) == 1
-                          and cache60.omega_of_set(s) <= ceiling]
-                found, nodes = _slice(pm, 40, 3, firsts, ceiling, True, True)
+                          and omega_naive(s) <= ceiling]
+                found, nodes = _slice(*table, 40, 3, firsts, ceiling,
+                                      True, True)
                 assert found == expect
                 assert nodes > 0
-                found, _ = _slice(pm, 40, 3, firsts, ceiling, True, False)
+                found, _ = _slice(*table, 40, 3, firsts, ceiling,
+                                  True, False)
                 assert found == expect[:1]
 
     def test_nodes_do_not_depend_on_timing(self, cache60):
