@@ -7,21 +7,35 @@ Miller-Rabin base set that is deterministic far beyond 64-bit inputs.
 Factorization in E rides on the rational factorization of the norm: 3
 ramifies onto (2,1), primes 2 mod 3 stay prime, and primes 1 mod 3 split
 into a conjugate pair found via a cube root of unity.
+
+The primes of a product of quadratic-form values a^2 +- a*b + b^2 over the
+pairs of a set are sieved along root progressions, as the quadratic sieve
+walks them (Pomerance 1982), rather than factored value by value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import Sequence
 
 from eulab.core import EInt, LAMBDA, ONE, divides, exact_div, gcd
 
 DEFAULT_SIEVE_LIMIT = 10**6
 INT64_MAX = 2**63 - 1
+
+# pair_form_primes sieves pair values with the primes up to this bound.
+# 4096^2 exceeds 3 * 2000^2, so every pair value of a set up to 2000 is
+# settled by the sieve alone.  Beyond the bound, bucketing the set once per
+# prime costs more than testing the cofactors left: a full sieve to isqrt
+# of the largest pair value made sets of 30 to 100 values up to 10^5 or
+# 10^6 four to thirteen times slower than factoring each pair value.
+_PAIR_SIEVE_BOUND = 4096
 
 _sieve_state: dict = {"limit": None, "primes": None}
 
@@ -52,6 +66,19 @@ def _sieve(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return [i for i, f in enumerate(flags) if f]
+
+
+def _roots_x2_x_1(p: int) -> tuple[int, ...]:
+    """The roots of x^2 + x + 1 mod the prime p: 1 for p = 3, the two
+    primitive cube roots of unity for p = 1 (mod 3), none otherwise."""
+    if p == 3:
+        return (1,)
+    if p % 3 != 1:
+        return ()
+    for g in itertools.count(2):
+        r = pow(g, (p - 1) // 3, p)
+        if r != 1:
+            return (r, r * r % p)
 
 
 def prime_pi(x: float) -> int:
@@ -202,6 +229,77 @@ def omega_n(n: int) -> int:
     return factor_rational(n).omega
 
 
+def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
+    """The distinct primes of the product of a^2 + s*a*b + b^2, s = 1 or
+    -1, over the pairs of the distinct positive integers elements, in
+    increasing order.
+
+    The pair values are sieved one prime p at a time.  For p not dividing
+    a, p divides a^2 + s*a*b + b^2 exactly when b = s*a*r (mod p) for a
+    root r of x^2 + x + 1 mod p; for p | a, exactly when p | b.  So the
+    elements are bucketed by residue mod p, each class is matched with
+    the classes s*r times its residue (class 0 with itself), and every
+    hit divides p out of its pair value completely.  The primes come from
+    sieve_primes(), up to isqrt of the largest pair value but no further
+    than _PAIR_SIEVE_BOUND.  A cofactor c > 1 left over is prime when
+    every prime up to isqrt(c) was sieved or when is_prime(c) says so;
+    otherwise factor_rational splits it.
+
+    A pair value above INT64_MAX raises the ValueError of factor_rational,
+    naming the first such value in pair order (i < j).
+    """
+    n = len(elements)
+    vals = [a * a + s * a * b + b * b
+            for i, a in enumerate(elements) for b in elements[i + 1:]]
+    if not vals:
+        return ()
+    top = max(vals)
+    if top > INT64_MAX:
+        first = next(v for v in vals if v > INT64_MAX)
+        raise ValueError(f"{first} is beyond the declared 64-bit input range")
+    # vals[off[i] + j] belongs to the pair (elements[i], elements[j]), i < j
+    off = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+    primes = sieve_primes()
+    primes = primes[:bisect_right(primes, min(math.isqrt(top),
+                                              _PAIR_SIEVE_BOUND))]
+    found = []
+    for p in primes:
+        roots = [s * r % p for r in _roots_x2_x_1(p)]
+        if roots:
+            classes: dict[int, list[int]] = {}
+            for i, a in enumerate(elements):
+                classes.setdefault(a % p, []).append(i)
+        else:
+            classes = {0: [i for i, a in enumerate(elements) if a % p == 0]}
+        hit = False
+        for c, left in classes.items():
+            for t in (c * r % p for r in roots) if c else (0,):
+                right = classes.get(t)
+                if right is None:
+                    continue
+                for i in left:
+                    for j in right:
+                        if j > i:
+                            k = off[i] + j
+                            v = vals[k] // p
+                            while v % p == 0:
+                                v //= p
+                            vals[k] = v
+                            hit = True
+        if hit:
+            found.append(p)
+    # Every prime up to settled was sieved (primes is empty when top < 4).
+    settled = primes[-1] if primes else 1
+    large: set[int] = set()
+    for v in vals:
+        if v > 1:
+            if math.isqrt(v) <= settled or is_prime(v):
+                large.add(v)
+            else:
+                large.update(q for q, _ in factor_rational(v).factors)
+    return tuple(found) + tuple(sorted(large))
+
+
 def classify_prime(p: int) -> str:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -290,6 +388,6 @@ def tau_e(x: EInt) -> int:
 __all__ = [
     "DEFAULT_SIEVE_LIMIT", "INT64_MAX", "RationalFactorization",
     "EFactorization", "sieve_limit", "sieve_primes", "prime_pi", "is_prime",
-    "factor_rational", "omega_n", "classify_prime", "split_prime",
-    "factor_e", "omega_e", "tau_e",
+    "factor_rational", "omega_n", "pair_form_primes", "classify_prime",
+    "split_prime", "factor_e", "omega_e", "tau_e",
 ]

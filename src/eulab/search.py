@@ -40,22 +40,9 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from eulab.factor import _sieve
+from eulab.factor import _roots_x2_x_1, _sieve
 
 MAX_TABLE_ELEMENT = 2000
-
-
-def _roots_x2_x_1(p: int) -> tuple[int, ...]:
-    """The roots of x^2 + x + 1 mod the prime p: 1 for p = 3, the two
-    primitive cube roots of unity for p = 1 (mod 3), none otherwise."""
-    if p == 3:
-        return (1,)
-    if p % 3 != 1:
-        return ()
-    for g in itertools.count(2):
-        r = pow(g, (p - 1) // 3, p)
-        if r != 1:
-            return (r, r * r % p)
 
 
 class PairPrimeCache:

@@ -46,10 +46,10 @@ def gcd_by_factoring(x: EInt, y: EInt):
 
 
 @functools.cache
-def pair_primes_naive(a: int, b: int) -> tuple[int, ...]:
-    """The distinct primes of a^2 + a*b + b^2, increasing, by trial
-    division; shares no code with eulab."""
-    n = a * a + a * b + b * b
+def pair_primes_naive(a: int, b: int, s: int = 1) -> tuple[int, ...]:
+    """The distinct primes of a^2 + s*a*b + b^2 (s = 1 or -1),
+    increasing, by trial division; shares no code with eulab."""
+    n = a * a + s * a * b + b * b
     out = []
     d = 2
     while d * d <= n:

@@ -6,6 +6,7 @@ sieve-limit environment variable.
 """
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 from eulab import bounds, cli
 from eulab.bounds import verify_t1
 from eulab.core import OMEGA, ONE, EInt
+from eulab.factor import factor_rational
 
 
 def run_cli(argv, capsys):
@@ -184,6 +186,63 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "lemma9"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("token,s", [("cor1", -1), ("cor2", 1)])
+    def test_large_set_matches_factor_rational(self, tmp_path, capsys,
+                                               token, s):
+        # pair values near 3e18 leave cofactors far above the pair sieve
+        values = [1234567891, 1699999993, 1700000000, 1700000001, 1700000003]
+        path = write_set(tmp_path, "big.txt", map(str, values))
+        code, out, _ = run_cli(["verify", token, "--set", path], capsys)
+        expected = sorted({
+            p for a, b in itertools.combinations(values, 2)
+            for p, _ in factor_rational(a * a + s * a * b + b * b).factors})
+        report = json.loads(out)["reports"][0]
+        assert code == 0
+        assert report["witness_primes"] == expected
+        assert report["omega"] == len(expected)
+
+    @pytest.mark.parametrize("token", ["cor1", "cor2"])
+    def test_pair_value_out_of_range(self, tmp_path, capsys, token):
+        path = write_set(tmp_path, "s.txt", ["5000000000", "6000000000"])
+        code, out, err = run_cli(["verify", token, "--set", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "beyond the declared 64-bit input range" in err
+
+    # Computed before the pair values were sieved, when each one went
+    # through factor_rational.
+    @pytest.mark.parametrize("argv,digest", [
+        (["cor1", "--trials", "2", "--size", "150", "--range", "2000",
+          "--seed", "5"],
+         "f53947fa4b3bb07564a8e78b21f239fefaca7e6f549a3cfbdc2823e68efb5031"),
+        (["cor2", "--trials", "2", "--size", "150", "--range", "2000",
+          "--seed", "5"],
+         "9a3121a5f1dd52779cad18f89a00525241ef33e36353bf9e49a367e9e0cc03a8"),
+        (["t1", "--set", "eints"],
+         "e5d4cc82fa954e892d5c9098a60a95eb4f4c15219bc3431e597ca12f82877a78"),
+        (["t2", "--rho", "0,1", "--set", "eints"],
+         "a49c4cc8207ed302daf94b0cfa73175e84cf9553ff4f3bdf5bef1ce444e307d2"),
+        (["cor1", "--set", "ints"],
+         "5ca7e7f64fd7f2ad2b2b366586965378b2ba0084fc71818037d33799a7293373"),
+        (["cor2", "--set", "ints"],
+         "0e6d6dc3e9df97e321eba09412d20798f26cbe3458cae4f0d6974467e35dd376"),
+        (["rho-minus1", "--set", "eints"],
+         "41d3028b1dc6973405e557aa15361ccc38eef73ffc7c55a35e2af3b850305412"),
+        (["erdos-turan", "--set", "ints"],
+         "ef88c4fafb42551f8c1c9155ebae31f7d45ec5253eb8b2ea853f4e4f5e94658d"),
+    ], ids=["cor1-trials", "cor2-trials", "t1-set", "t2-set", "cor1-set",
+            "cor2-set", "rho-minus1-set", "erdos-turan-set"])
+    def test_pinned_digests(self, tmp_path, capsys, argv, digest):
+        files = {
+            "eints": write_set(tmp_path, "e.txt",
+                               ["1,0", "0,1", "2,0", "3,-1", "5,2"]),
+            "ints": write_set(tmp_path, "i.txt", ["3", "5", "7", "12", "20"]),
+        }
+        argv = [files.get(arg, arg) for arg in argv]
+        code, _, err = run_cli(["verify", *argv], capsys)
+        assert code == 0
+        assert last_manifest(err)["output_digest"] == digest
 
 
 class TestRefine:

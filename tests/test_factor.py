@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import strategies as st
 
 from eulab.core import EInt, LAMBDA, ZERO, gcd
 from eulab.factor import (
-    classify_prime, factor_e, factor_rational, is_prime, omega_e, omega_n,
-    prime_pi, sieve_limit, sieve_primes, split_prime, tau_e,
+    _roots_x2_x_1, classify_prime, factor_e, factor_rational, is_prime,
+    omega_e, omega_n, pair_form_primes, prime_pi, sieve_limit, sieve_primes,
+    split_prime, tau_e,
 )
-from oracles import enumerate_divisors, gcd_by_factoring
+from oracles import enumerate_divisors, gcd_by_factoring, pair_primes_naive
 
 
 def test_factor_rational_examples():
@@ -170,3 +172,79 @@ def test_omega_additive_on_coprime_products():
     y = EInt(4, 1)   # norm 13
     assert gcd(x, y).is_unit()
     assert omega_e(x * y) == omega_e(x) + omega_e(y)
+
+
+def test_roots_x2_x_1_by_brute_force():
+    for p in sieve_primes()[:60]:
+        roots = {x for x in range(p) if (x * x + x + 1) % p == 0}
+        assert set(_roots_x2_x_1(p)) == roots, p
+
+
+def naive_pair_form_primes(elements, s):
+    return tuple(sorted(set().union(*(
+        pair_primes_naive(a, b, s)
+        for a, b in itertools.combinations(elements, 2)))))
+
+
+class TestPairFormPrimes:
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_all_pairs_up_to_60(self, s):
+        elements = tuple(range(1, 61))
+        assert pair_form_primes(elements, s) == \
+            naive_pair_form_primes(elements, s)
+        for a, b in itertools.combinations(elements, 2):
+            assert pair_form_primes((a, b), s) == pair_primes_naive(a, b, s)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_random_sets_up_to_2000(self, s):
+        rng = random.Random(2000 + s)
+        for size in (2, 3, 5, 8, 13, 21, 34):
+            elements = tuple(sorted(rng.sample(range(1, 2001), size)))
+            assert pair_form_primes(elements, s) == \
+                naive_pair_form_primes(elements, s), elements
+
+    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("elements", [
+        (2, 4, 6, 8, 16, 32, 64, 1024),     # p = 2 divides a and b; 4 | value
+        (3, 6, 9, 27, 81, 12, 243, 1998),   # p = 3 dividing both elements
+        (7, 14, 21, 49, 98, 343, 686),      # p = 7 dividing both, and p^2
+        (1, 4, 7, 10, 13, 1999),            # one class mod 3: 3 | a^2+ab+b^2
+        (1, 2, 4, 5, 7, 8, 2000),           # b = -a mod 3: 3 | a^2-ab+b^2
+        (1, 2), (1, 3), (2, 3),             # values 3, 7, 13 (and 3, 7, 7)
+    ])
+    def test_edge_sets(self, elements, s):
+        elements = tuple(sorted(elements))
+        assert pair_form_primes(elements, s) == \
+            naive_pair_form_primes(elements, s)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_small_sieve_limit_falls_back(self, monkeypatch, s):
+        # With primes only up to 50 sieved, most cofactors are settled by
+        # is_prime or split by factor_rational instead of the sieve.
+        monkeypatch.setenv("EULAB_SIEVE_LIMIT", "50")
+        rng = random.Random(50 + s)
+        for size in (4, 12, 30):
+            elements = tuple(sorted(rng.sample(range(1, 2001), size)))
+            assert pair_form_primes(elements, s) == \
+                naive_pair_form_primes(elements, s), elements
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_large_values_match_factor_rational(self, s):
+        elements = (1234567891, 1699999993, 1700000000, 1700000001)
+        expected = sorted({
+            p for a, b in itertools.combinations(elements, 2)
+            for p, _ in factor_rational(a * a + s * a * b + b * b).factors})
+        assert pair_form_primes(elements, s) == tuple(expected)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_first_overflowing_value_is_named(self, s):
+        elements = (1, 2, 3, 4000000000, 5000000000)
+        first = 1 + s * 4000000000 + 4000000000 ** 2
+        with pytest.raises(ValueError) as info:
+            pair_form_primes(elements, s)
+        assert str(info.value) == \
+            f"{first} is beyond the declared 64-bit input range"
+
+    def test_fewer_than_two_elements(self):
+        assert pair_form_primes((), 1) == ()
+        assert pair_form_primes((5,), -1) == ()
