@@ -28,8 +28,8 @@ from eulab.core import (
     EInt, ONE, ResidueRing, ZERO, divides, exact_div, gcd, valuation,
 )
 from eulab.factor import (
-    EFactorization, factor_e, factor_rational, pair_form_primes, prime_pi,
-    tau_e,
+    EFactorization, factor_e, factor_rational, is_prime, pair_form_primes,
+    prime_pi, tau_e,
 )
 
 MINUS_ONE = EInt(-1, 0)
@@ -68,19 +68,35 @@ class Coloring:
         return self.assignment[self.ring.reduce(x)]
 
 
+def _is_prime_e(pi: EInt) -> bool:
+    """Whether pi is a prime of E: its norm is a rational prime (3 or
+    1 mod 3), or pi is associated to an inert rational prime q, whose
+    norm is q^2."""
+    n = pi.norm()
+    q = math.isqrt(n)
+    return is_prime(n) or (q * q == n and q % 3 == 2 and is_prime(q))
+
+
+def _prime_power_units(ring: ResidueRing, pi: EInt) -> list[EInt]:
+    """The reduced representatives of ring = E/(pi^k) for a prime pi, in
+    enumeration order.  Such an r is a unit exactly when pi does not divide
+    it, which saves the Euclidean gcd of ring.reduced_representatives()."""
+    return [r for r in ring.representatives() if not divides(pi, r)]
+
+
 def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
     """Two groups on the reduced residues mod pi^k with r and -r separated.
 
-    Needs norm(pi) odd so that r = -r cannot happen.  The first member of
-    each +- pair met in enumeration order lands in group 0.
+    Needs a prime pi of odd norm so that r = -r cannot happen.  The first
+    member of each +- pair met in enumeration order lands in group 0.
     """
-    if pi.norm() % 2 == 0 or pi.norm() <= 1:
+    if pi.norm() % 2 == 0 or not _is_prime_e(pi):
         raise ValueError("uv coloring needs a prime of odd norm")
     if k < 1:
         raise ValueError("exponent must be positive")
     ring = ResidueRing(pi ** k)
     assignment: dict[EInt, int] = {}
-    for r in ring.reduced_representatives():
+    for r in _prime_power_units(ring, pi):
         if r in assignment:
             continue
         assignment[r] = 0
@@ -89,11 +105,13 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
 
 
 def _lazy_uv_group(ring: ResidueRing, r: EInt, memo: dict[EInt, int]) -> int:
+    """uv_coloring's group of the reduced residue r.  Reduced residues
+    enumerate in (a, b) order, so their coordinates are their rank."""
     got = memo.get(r)
     if got is not None:
         return got
     partner = ring.reduce(-r)
-    if ring.position(partner) < ring.position(r):
+    if (partner.a, partner.b) < (r.a, r.b):
         g = 1 - _lazy_uv_group(ring, partner, memo)
     else:
         g = 0
@@ -111,7 +129,7 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
     second; a residue never collides with itself because that would force
     pi^(delta+1) | 1 + rho0.
     """
-    if pi.norm() <= 1:
+    if not _is_prime_e(pi):
         raise ValueError("coloring needs a non-unit prime")
     if rho0 == MINUS_ONE:
         raise ValueError("rho0 = -1 has no finite delta")
@@ -122,35 +140,34 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
     neg = ring.reduce(-rho0)
     neg_inv = ring.reduce(-ring.inverse(rho0))
     assignment: dict[EInt, int] = {}
-    for r in ring.reduced_representatives():
-        used = set()
-        for mult in (neg, neg_inv):
-            n = ring.reduce(mult * r)
-            if n in assignment:
-                used.add(assignment[n])
-        for c in (0, 1, 2):
-            if c not in used:
-                assignment[r] = c
-                break
+    reduce = ring.reduce
+    for r in _prime_power_units(ring, pi):
+        g1 = assignment.get(reduce(neg * r))
+        g2 = assignment.get(reduce(neg_inv * r))
+        c = 0
+        while c == g1 or c == g2:
+            c += 1
+        assignment[r] = c
     return Coloring(ring, pi, 3, assignment, delta=delta)
 
 
 def _lazy_three_group(ring: ResidueRing, neg: EInt, neg_inv: EInt,
                       r: EInt, memo: dict[EInt, int]) -> int:
-    """Greedy color of one residue, replaying only the earlier-enumerated
-    dependency chain.  Matches three_coloring exactly."""
+    """Greedy color of the reduced residue r, replaying only the
+    earlier-enumerated dependency chain.  Matches three_coloring exactly;
+    reduced residues enumerate in (a, b) order."""
     stack = [r]
     while stack:
         cur = stack[-1]
         if cur in memo:
             stack.pop()
             continue
-        pos = ring.position(cur)
+        pos = cur.a, cur.b
         nbrs = []
         missing = []
         for mult in (neg, neg_inv):
             n = ring.reduce(mult * cur)
-            if n != cur and ring.position(n) < pos:
+            if n != cur and (n.a, n.b) < pos:
                 nbrs.append(n)
                 if n not in memo:
                     missing.append(n)

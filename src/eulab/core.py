@@ -12,7 +12,6 @@ gcds and prime factorizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 # Coordinates are declared 64-bit signed.  Python integers never wrap, so
@@ -26,15 +25,41 @@ def _round_half_down(n: int, d: int) -> int:
     return -((d - 2 * n) // (2 * d))
 
 
-@dataclass(frozen=True, slots=True)
 class EInt:
+    """An element a + b*omega; immutable, hashed and compared as (a, b).
+
+    A plain slotted class rather than a frozen dataclass: construction is
+    the hot path of every ring operation, and this __init__ does the range
+    check and two slot writes with no further dispatch.
+    """
+
+    __slots__ = ("a", "b")
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if not (-COORD_BOUND <= self.a <= COORD_BOUND
-                and -COORD_BOUND <= self.b <= COORD_BOUND):
-            raise OverflowError(f"coordinate out of 64-bit range: ({self.a},{self.b})")
+    def __init__(self, a: int, b: int) -> None:
+        if not (-COORD_BOUND <= a <= COORD_BOUND
+                and -COORD_BOUND <= b <= COORD_BOUND):
+            raise OverflowError(f"coordinate out of 64-bit range: ({a},{b})")
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is EInt:
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __reduce__(self) -> tuple[type, tuple[int, int]]:
+        return EInt, (self.a, self.b)
 
     @classmethod
     def parse(cls, text: str) -> EInt:
@@ -67,32 +92,36 @@ class EInt:
         return self.norm() == 1
 
     def __add__(self, other: object) -> EInt:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not EInt:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return EInt(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> EInt:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not EInt:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return EInt(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other: object) -> EInt:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not EInt:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return EInt(other.a - self.a, other.b - self.b)
 
     def __neg__(self) -> EInt:
         return EInt(-self.a, -self.b)
 
     def __mul__(self, other: object) -> EInt:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not EInt:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         # (a1 + b1 w)(a2 + b2 w) with w^2 = -1 - w.
         return EInt(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
@@ -121,9 +150,10 @@ class EInt:
         most 1/2 per coordinate, and N(x + y*omega) <= 3/4 on that square.
         Ties round toward -infinity so the result is a single-valued map.
         """
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not EInt:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in E")
         sa, sb, oa, ob = self.a, self.b, other.a, other.b
@@ -168,6 +198,11 @@ class EInt:
             if (self * UNITS[(6 - k) % 6]).is_canonical():
                 return k
         raise AssertionError("unreachable: sectors cover the plane")
+
+
+# Slot writers that bypass EInt.__setattr__, for __init__ only.
+_set_a = EInt.a.__set__
+_set_b = EInt.b.__set__
 
 
 def _coerce(value: object) -> EInt | None:

@@ -1,9 +1,10 @@
 """Prime factorization over Z and over E, with the counting functions
 omega (distinct primes) and tau (divisors, associates counted separately).
 
-Rational factorization is trial division against a shared sieve followed by
-Brent's cycle-finding splitter; primality of cofactors is decided by a
-Miller-Rabin base set that is deterministic far beyond 64-bit inputs.
+Rational factorization is trial division by the primes of a shared sieve,
+up to 65536, followed by Brent's cycle-finding splitter; primality of
+cofactors is decided by a Miller-Rabin base set that is deterministic far
+beyond 64-bit inputs.
 Factorization in E rides on the rational factorization of the norm: 3
 ramifies onto (2,1), primes 2 mod 3 stay prime, and primes 1 mod 3 split
 into a conjugate pair found via a cube root of unity.
@@ -36,6 +37,12 @@ INT64_MAX = 2**63 - 1
 # of the largest pair value made sets of 30 to 100 values up to 10^5 or
 # 10^6 four to thirteen times slower than factoring each pair value.
 _PAIR_SIEVE_BOUND = 4096
+
+# factor_rational trial-divides by the sieve primes up to this bound and
+# leaves the cofactor to _factor_hard.  A composite cofactor with no prime
+# factor below it is split by Brent's method far sooner than by trial
+# division on to the sieve limit.
+_TRIAL_BOUND = 65536
 
 _sieve_state: dict = {"limit": None, "primes": None}
 
@@ -190,13 +197,14 @@ def factor_rational(n: int) -> RationalFactorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    # MR checkpoints cut off the long sieve walk once the cofactor is prime.
-    checkpoints = [3000, 65536]
+    # Trial division to 3000, then a primality check that cuts the walk
+    # short when the cofactor is prime, then on to _TRIAL_BOUND.
+    checked = False
     for p in sieve_primes():
-        if p * p > m:
+        if p * p > m or p > _TRIAL_BOUND:
             break
-        if checkpoints and p > checkpoints[0]:
-            checkpoints.pop(0)
+        if p > 3000 and not checked:
+            checked = True
             if m > 1 and is_prime(m):
                 break
         if m % p == 0:
@@ -331,6 +339,12 @@ def split_prime(p: int) -> EInt:
     return pi
 
 
+@lru_cache(maxsize=4096)
+def _conj_split_prime(p: int) -> EInt:
+    """The canonical prime conjugate to split_prime(p)."""
+    return split_prime(p).conj().canonical_associate()[0]
+
+
 @lru_cache(maxsize=1 << 16)
 def factor_e(x: EInt) -> EFactorization:
     """Factor x into canonical primes times a unit.
@@ -367,7 +381,7 @@ def factor_e(x: EInt) -> EFactorization:
             if k:
                 out.append((pi, k))
             if k < e:
-                pibar = pi.conj().canonical_associate()[0]
+                pibar = _conj_split_prime(p)
                 for _ in range(e - k):
                     rem = exact_div(rem, pibar)
                 out.append((pibar, e - k))

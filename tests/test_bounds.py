@@ -11,7 +11,7 @@ from eulab.bounds import (
     phi, random_eint_set, random_int_set, run_trials, three_coloring,
     uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
-    _lazy_three_group, _lazy_uv_group,
+    _lazy_three_group, _lazy_uv_group, _prime_power_units,
 )
 
 MINUS_ONE = EInt(-1, 0)
@@ -47,6 +47,27 @@ class TestUvColoring:
             uv_coloring(EInt(2, 0))
         with pytest.raises(ValueError):
             uv_coloring(ONE)
+
+
+@pytest.mark.parametrize("pi,k", [
+    (LAMBDA, 1), (LAMBDA, 2), (LAMBDA, 3),
+    (EInt(2, 0), 1), (EInt(2, 0), 2),
+    (EInt(3, 1), 1), (EInt(3, 1), 2),
+    (EInt(9, 5), 1),  # split, norm 61
+])
+def test_prime_power_units_match_gcd_oracle(pi, k):
+    ring = ResidueRing(pi ** k)
+    assert _prime_power_units(ring, pi) == \
+        list(ring.reduced_representatives())
+
+
+def test_colorings_reject_non_primes():
+    # 7 = (3,1)(3,2) and 3 + 3*omega = 3 * (1 + omega) are not prime
+    for x in (EInt(7, 0), EInt(3, 3)):
+        with pytest.raises(ValueError):
+            uv_coloring(x)
+        with pytest.raises(ValueError):
+            three_coloring(x, OMEGA)
 
 
 class TestThreeColoring:

@@ -2,7 +2,9 @@
 residue rings.  Example values are frozen from an independent six-associate
 enumeration oracle (see _canonical_by_enumeration below)."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,59 @@ def test_coordinate_overflow_detected():
     EInt(COORD_BOUND, -COORD_BOUND)  # boundary is representable
     with pytest.raises(OverflowError):
         EInt(COORD_BOUND + 1, 0)
+
+
+def test_overflow_on_construction_and_product():
+    for a, b in [(COORD_BOUND + 1, 0), (0, -COORD_BOUND - 1), (2**70, 2**70)]:
+        with pytest.raises(OverflowError):
+            EInt(a, b)
+    x = EInt(2**32, 0)
+    with pytest.raises(OverflowError):
+        _ = x * x
+
+
+# ---------------------------------------------------------------- contract
+
+def test_fields_are_immutable():
+    x = EInt(3, -4)
+    for name in ("a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.c = 1
+    assert (x.a, x.b) == (3, -4)
+
+
+@given(eints)
+def test_hash_is_tuple_hash(x):
+    assert hash(x) == hash((x.a, x.b))
+    y = EInt(x.a, x.b)
+    assert y == x and hash(y) == hash(x)
+
+
+def test_not_equal_to_other_types():
+    assert EInt(1, 2) != (1, 2)
+    assert EInt(3, 0) != 3
+    assert not EInt(3, 0) == 3
+    assert EInt(1, 2) != EInt(2, 1)
+
+
+def test_pickle_and_copy_round_trip():
+    x = EInt(-7, 2**62)
+    copies = [pickle.loads(pickle.dumps(x, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(x), copy.deepcopy(x)]
+    for y in copies:
+        assert type(y) is EInt and y == x
+    assert copy.deepcopy({x: [x]}) == {x: [x]}
+
+
+def test_repr_and_str():
+    assert repr(EInt(-3, 12)) == "EInt(-3, 12)"
+    assert str(EInt(-3, 12)) == "-3,12"
+    assert repr([ZERO, OMEGA]) == "[EInt(0, 0), EInt(0, 1)]"
 
 
 def test_parse_and_str_roundtrip():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -44,6 +45,31 @@ def test_factor_rational_large_semiprime():
     p, q = 999999937, 999999893  # both prime, product near 1e18
     f = factor_rational(p * q)
     assert f.factors == ((q, 1), (p, 1))
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("primes", [
+    (100003, 100019),
+    (1000003, 1000033),
+    (999999893, 999999937),
+    (3, 5, 7, 1000003, 1000033),
+    # cofactors beyond the trial-division bound that are prime powers or
+    # have three prime factors
+    (65537, 65537),
+    (65537, 65537, 65537),
+    (65537, 65537, 1000003),
+    (65537, 65539, 65543),
+])
+def test_factor_rational_large_cofactors(primes):
+    n = math.prod(primes)
+    f = factor_rational(n)
+    assert f.value() == n
+    assert f.factors == tuple((p, primes.count(p)) for p in sorted(set(primes)))
+    for p, _ in f.factors:
+        assert is_prime(p) and _is_prime_by_trial_division(p)
 
 
 def test_is_prime_matches_sieve():
