@@ -28,8 +28,8 @@ from eulab.core import (
     EInt, ONE, ResidueRing, ZERO, divides, exact_div, gcd, valuation,
 )
 from eulab.factor import (
-    EFactorization, factor_e, factor_rational, is_prime, pair_form_primes,
-    prime_pi, tau_e,
+    EFactorization, factor_e, factor_rational, is_prime, pair_e_primes,
+    pair_form_primes, prime_pi, tau_e,
 )
 
 MINUS_ONE = EInt(-1, 0)
@@ -360,20 +360,6 @@ def phi(a: EInt, b: EInt, rho: EInt) -> EInt:
     return exact_div(a, g) + rho * exact_div(b, g)
 
 
-def _product_primes_additive(elements: Sequence[EInt]) -> list[EInt]:
-    """Odd-norm canonical primes of the product of a+b over distinct pairs."""
-    primes: set[EInt] = set()
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            f = a + b
-            if f.is_zero():
-                raise ZeroFactorError(f"zero factor from pair ({a}) + ({b})")
-            for pi, _ in factor_e(f).factors:
-                if pi.norm() % 2:
-                    primes.add(pi)
-    return sorted(primes, key=_ekey)
-
-
 def refine_t1(elements: Iterable[EInt]) -> RefinementTrace:
     """Shrink a set until additive pairs inherit valuations exactly.
 
@@ -383,11 +369,19 @@ def refine_t1(elements: Iterable[EInt]) -> RefinementTrace:
     final set, v(a+b) = min(v(a), v(b)) holds for every listed prime:
     equal valuations would need unit parts summing into the prime, which
     the uv buckets forbid, and unequal ones carry for free.
+
+    The primes of the pair-sum product are sieved over the whole set
+    (pair_e_primes) rather than factored pair by pair.  The first zero
+    pair sum raises ZeroFactorError naming that pair.
     """
     initial = _sorted_set(elements)
     if len(initial) < 2:
         raise ValueError("need at least two distinct elements")
-    primes = _product_primes_additive(initial)
+    primes, zero = pair_e_primes(initial, ONE, ordered=False)
+    if zero is not None:
+        raise ZeroFactorError(
+            f"zero factor from pair ({zero[0]}) + ({zero[1]})")
+    primes = [pi for pi in primes if pi.norm() % 2]
     sectors: dict[int, list[EInt]] = {}
     for a in initial:
         if a.is_zero():
@@ -437,29 +431,26 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
     the residue-coset split.  The final set also satisfies the divisor
     collapse: every phi(a, b) divides c(rho), so at most tau(c(rho))
     distinct values occur.
+
+    The primes of the pair product are sieved over the whole set
+    (pair_e_primes); the first zero twisted sum raises ZeroFactorError
+    naming that pair.  The transfer check on the final set still factors
+    each of its twisted sums with factor_e.
     """
     if rho.is_zero() or rho == MINUS_ONE:
         raise ValueError("rho must avoid 0 and -1")
     initial = _sorted_set(elements)
     if len(initial) < 2:
         raise ValueError("need at least two distinct elements")
-    primes: set[EInt] = set()
-    for a in initial:
-        for b in initial:
-            if a == b:
-                continue
-            f = a + rho * b
-            if f.is_zero():
-                raise ZeroFactorError(
-                    f"zero factor from pair ({a}) + rho*({b})")
-            for pi, _ in factor_e(f).factors:
-                primes.add(pi)
-    ordered = sorted(primes, key=_ekey)
+    primes, zero = pair_e_primes(initial, rho, ordered=True)
+    if zero is not None:
+        raise ZeroFactorError(
+            f"zero factor from pair ({zero[0]}) + rho*({zero[1]})")
     special = _power_of_prime(-rho)
     current = initial
     snapshots = [current]
     steps = []
-    for pi in ordered:
+    for pi in primes:
         if special is not None and pi == special[0]:
             current, record = valuation_split(current, pi, special[1])
         else:
@@ -467,7 +458,7 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
         snapshots.append(current)
         steps.append(record)
     final = snapshots[-1]
-    exponents = {pi: c_exponent(pi, rho) for pi in ordered}
+    exponents = {pi: c_exponent(pi, rho) for pi in primes}
     transfer_ok = True
     pairs = 0
     for a in final:
@@ -498,7 +489,7 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
     checks = {
         "divisibility_transfer_ok": transfer_ok,
         "pairs_checked": pairs,
-        "primes_checked": len(ordered),
+        "primes_checked": len(primes),
         "phi_value_count": len(phis),
         "tau_bound": constants.tau,
         "phi_count_within_bound": len(phis) <= constants.tau,
@@ -548,14 +539,12 @@ def _compare(omega: int | None, bound: float, comparison: str) -> bool:
     return omega > bound if comparison == ">" else omega >= bound
 
 
-def _e_product_omega(factors: Iterable[EInt]) -> tuple[int | None, tuple, bool]:
-    primes: set[EInt] = set()
-    for f in factors:
-        if f.is_zero():
-            return None, (), True
-        for pi, _ in factor_e(f).factors:
-            primes.add(pi)
-    return len(primes), tuple(sorted(primes, key=_ekey)), False
+def _e_pair_omega(elements: Sequence[EInt], rho: EInt, ordered: bool,
+                  ) -> tuple[int | None, tuple, bool]:
+    primes, zero = pair_e_primes(elements, rho, ordered)
+    if zero is not None:
+        return None, (), True
+    return len(primes), primes, False
 
 
 def _n_product_omega(values: Iterable[int]) -> tuple[int | None, tuple, bool]:
@@ -568,18 +557,16 @@ def _n_product_omega(values: Iterable[int]) -> tuple[int | None, tuple, bool]:
     return len(primes), tuple(sorted(primes)), False
 
 
-def _unordered_sums(elements: Sequence[EInt]) -> Iterable[EInt]:
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            yield a + b
-
-
 def verify_t1(elements: Iterable[EInt], seed: object = None) -> BoundReport:
-    """omega_E of the pair-sum product against (log(|A|-1) - log 18)/log 2."""
+    """omega_E of the pair-sum product against (log(|A|-1) - log 18)/log 2.
+
+    The pair sums are sieved over the whole set (pair_e_primes) rather
+    than factored one by one; a cofactor the sieve primes cannot settle
+    falls back to factor_e.  A zero pair sum is flagged."""
     elements = _sorted_set(elements)
     if len(elements) < 2:
         raise ValueError("need at least two distinct elements")
-    omega, primes, flagged = _e_product_omega(_unordered_sums(elements))
+    omega, primes, flagged = _e_pair_omega(elements, ONE, ordered=False)
     bound = (math.log(len(elements) - 1) - math.log(18)) / math.log(2)
     return BoundReport("t1", None, seed, elements, omega, bound, ">",
                        _compare(omega, bound, ">"), flagged, primes)
@@ -589,7 +576,8 @@ def verify_t2(elements: Iterable[EInt], rho: EInt, seed: object = None,
               general: bool = False) -> BoundReport:
     """omega_E of the a + rho*b product against log|A|/log 3 minus the
     rho-specific constant.  rho = 1 falls back to the additive bound
-    unless general=True forces this machinery."""
+    unless general=True forces this machinery.  The ordered pair values
+    are sieved as in verify_t1."""
     if rho.is_zero():
         raise ValueError("rho = 0 is rejected")
     if rho == MINUS_ONE:
@@ -600,8 +588,7 @@ def verify_t2(elements: Iterable[EInt], rho: EInt, seed: object = None,
     if len(elements) < 2:
         raise ValueError("need at least two distinct elements")
     constants = c_constants(rho)
-    factors = (a + rho * b for a in elements for b in elements if a != b)
-    omega, primes, flagged = _e_product_omega(factors)
+    omega, primes, flagged = _e_pair_omega(elements, rho, ordered=True)
     bound = (math.log(len(elements)) - math.log(constants.threshold)) / math.log(3)
     return BoundReport("t2", rho, seed, elements, omega, bound, ">",
                        _compare(omega, bound, ">"), flagged, primes)
@@ -634,12 +621,13 @@ def verify_cor2(values: Iterable[int], seed: object = None) -> BoundReport:
 def verify_rho_minus1(elements: Iterable[EInt], seed: object = None) -> BoundReport:
     """omega_E of the difference product is at least the number of rational
     primes p with p^2 < |A|: each such prime pins two set members to a
-    common residue class by pigeonhole."""
+    common residue class by pigeonhole.  The differences are sieved as in
+    verify_t1, with rho = -1."""
     elements = _sorted_set(elements)
     if len(elements) < 2:
         raise ValueError("need at least two distinct elements")
-    diffs = (a - b for i, a in enumerate(elements) for b in elements[i + 1:])
-    omega, primes, flagged = _e_product_omega(diffs)
+    omega, primes, flagged = _e_pair_omega(elements, MINUS_ONE,
+                                           ordered=False)
     bound = float(prime_pi(math.isqrt(len(elements) - 1)))
     return BoundReport("rho_minus1", MINUS_ONE, seed, elements, omega, bound,
                        ">=", _compare(omega, bound, ">="), flagged, primes)

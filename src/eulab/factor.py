@@ -11,7 +11,11 @@ into a conjugate pair found via a cube root of unity.
 
 The primes of a product of quadratic-form values a^2 +- a*b + b^2 over the
 pairs of a set are sieved along root progressions, as the quadratic sieve
-walks them (Pomerance 1982), rather than factored value by value.
+walks them (Pomerance 1982), rather than factored value by value.  The
+Eisenstein pair products a + rho*b are sieved the same way in E: each
+prime above a sieve prime maps E onto its residue field, and the pairs it
+divides are matched class by class; factor_e settles only the cofactors
+the sieve primes cannot.
 """
 
 from __future__ import annotations
@@ -25,17 +29,20 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
-from eulab.core import EInt, LAMBDA, ONE, divides, exact_div, gcd
+from eulab.core import (
+    COORD_BOUND, EInt, LAMBDA, ONE, divides, exact_div, gcd,
+)
 
 DEFAULT_SIEVE_LIMIT = 10**6
 INT64_MAX = 2**63 - 1
 
-# pair_form_primes sieves pair values with the primes up to this bound.
-# 4096^2 exceeds 3 * 2000^2, so every pair value of a set up to 2000 is
-# settled by the sieve alone.  Beyond the bound, bucketing the set once per
-# prime costs more than testing the cofactors left: a full sieve to isqrt
-# of the largest pair value made sets of 30 to 100 values up to 10^5 or
-# 10^6 four to thirteen times slower than factoring each pair value.
+# pair_form_primes and pair_e_primes sieve pair values (norms in E) with
+# the primes up to this bound.  4096^2 exceeds 3 * 2000^2, so every pair
+# value of a set up to 2000 is settled by the sieve alone.  Beyond the
+# bound, bucketing the set once per prime costs more than testing the
+# cofactors left: a full sieve to isqrt of the largest pair value made
+# sets of 30 to 100 values up to 10^5 or 10^6 four to thirteen times
+# slower than factoring each pair value.
 _PAIR_SIEVE_BOUND = 4096
 
 # factor_rational trial-divides by the sieve primes up to this bound and
@@ -308,6 +315,152 @@ def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
     return tuple(found) + tuple(sorted(large))
 
 
+def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
+                  ) -> tuple[tuple[EInt, ...], tuple[EInt, EInt] | None]:
+    """The distinct canonical primes of the product of a + rho*b over the
+    pairs of the distinct elements, sorted by (norm, a, b): pairs i < j
+    (a = elements[i], b = elements[j]), or every i != j when ordered.
+
+    Returns (primes, None), or ((), (a, b)) for the first pair in pair
+    order whose value is zero.  When a value with a coordinate beyond 64
+    bits (in rho*b or in the sum) or a norm above INT64_MAX comes first,
+    that pair is evaluated as a + rho*b and factored, which raises the
+    OverflowError or ValueError of EInt and factor_e.
+
+    The pair values are sieved in E one rational prime p at a time.  Each
+    prime pi above p gives a ring map h onto E/(pi): omega goes to
+    -u/v mod p for pi = u + v*omega of norm p (p = 3 or p = 1 mod 3), and
+    an inert p keeps both coordinates mod p.  As pi | a + rho*b exactly
+    when h(a) = -h(rho)*h(b), the elements are bucketed by h, each class c
+    on the b side is matched with the class -h(rho)*c on the a side, and
+    every hit divides p out of its pair's norm completely.  The primes
+    come from sieve_primes(), up to isqrt of the largest norm but no
+    further than _PAIR_SIEVE_BOUND or the number of pairs.  A norm
+    cofactor m > 1 left over is prime when the sieved primes reach
+    isqrt(m): then it is 3 (only when 3 was not sieved) or a split prime
+    q, and a residue test mod q picks the conjugate that divides the
+    value.  Any other cofactor sends its value to factor_e.  No EInt is
+    built per pair.
+    """
+    n = len(elements)
+    if n < 2:
+        return (), None
+    coords = [(x.a, x.b) for x in elements]
+    r1, r2 = rho.a, rho.b
+    twisted = [(r1 * x - r2 * y, r1 * y + r2 * x - r2 * y) for x, y in coords]
+    # N((x, y) + (u, v)) = N(x, y) + N(u, v) + x*(2u - v) + y*(2v - u)
+    terms = [(u * u - u * v + v * v, 2 * u - v, 2 * v - u)
+             for u, v in twisted]
+    norms: list[int] = []
+    for i, (x, y) in enumerate(coords):
+        na = x * x - x * y + y * y
+        right = terms[:i] + terms[i + 1:] if ordered else terms[i + 1:]
+        norms.extend([na + nb + x * gx + y * gy for nb, gx, gy in right])
+
+    # norms[k] belongs to the k-th pair (i, j) of pairs(): k = base[i] + j
+    # for j > i, and base[i] + j + 1 for j < i when ordered
+    pairs = itertools.permutations if ordered else itertools.combinations
+    if ordered:
+        base = [i * (n - 1) - 1 for i in range(n)]
+    else:
+        base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+
+    widest = (max(max(abs(x), abs(y)) for x, y in coords)
+              + max(max(abs(u), abs(v)) for u, v in twisted))
+    top = max(norms)
+    if widest <= COORD_BOUND and top <= INT64_MAX:
+        first = norms.index(0) if min(norms) == 0 else None
+    else:
+        first = next((k for k, ((i, j), m) in enumerate(
+            zip(pairs(range(n), 2), norms))
+            if not 0 < m <= INT64_MAX or max(
+                abs(twisted[j][0]), abs(twisted[j][1]),
+                abs(coords[i][0] + twisted[j][0]),
+                abs(coords[i][1] + twisted[j][1])) > COORD_BOUND), None)
+    if first is not None:
+        i, j = next(itertools.islice(pairs(range(n), 2), first, None))
+        a, b = elements[i], elements[j]
+        if not norms[first]:
+            return (), (a, b)
+        factor_e(a + rho * b)
+        raise AssertionError(f"pair ({a}) + ({rho})*({b}) is in range")
+
+    # Every prime up to settled is sieved.  A prime p divides about 2/p of
+    # the pair values, so past the number of pairs it would hit fewer than
+    # two on average, and bucketing the set for it costs more than the
+    # factor_e calls it could save: verify_t1 on 3 elements with
+    # coordinates near 1000 took 2.1 ms with the sieve to isqrt(top)
+    # against 0.3 ms with one factor_e call per pair (2 vCPUs, Python 3.11).
+    settled = min(math.isqrt(top), _PAIR_SIEVE_BOUND, sieve_limit(),
+                  len(norms))
+    primes = sieve_primes()
+    primes = primes[:bisect_right(primes, settled)]
+    found: set[EInt] = set()
+    for p in primes:
+        if p % 3 == 2:
+            # E/(p) = F_p[omega]; the residue (c0, c1) is coded c0 + p*c1
+            keys = [x % p + p * (y % p) for x, y in coords]
+            s, t = -r1 % p, -r2 % p
+
+            def target(c: int) -> int:
+                c0, c1 = c % p, c // p
+                return ((s * c0 - t * c1) % p
+                        + p * ((s * c1 + t * c0 - t * c1) % p))
+
+            maps = [(EInt(p, 0), keys, target)]
+        else:
+            maps = []
+            for pi in (LAMBDA,) if p == 3 else (split_prime(p),
+                                                _conj_split_prime(p)):
+                w = -pi.a * pow(pi.b, -1, p) % p
+                mult = -(r1 + r2 * w) % p
+                maps.append((pi, [(x + y * w) % p for x, y in coords],
+                             lambda c, mult=mult: mult * c % p))
+        hits: set[int] = set()
+        for pi, keys, target in maps:
+            classes: dict[int, list[int]] = {}
+            for i, c in enumerate(keys):
+                classes.setdefault(c, []).append(i)
+            matched = [(left, right) for c, right in classes.items()
+                       if (left := classes.get(target(c))) is not None]
+            if ordered:
+                ks = [base[i] + j + (j < i) for left, right in matched
+                      for i in left for j in right if j != i]
+            else:
+                ks = [base[i] + j for left, right in matched
+                      for i in left for j in right if j > i]
+            if ks:
+                found.add(pi)
+                hits.update(ks)
+        for k in hits:
+            v = norms[k] // p
+            while v % p == 0:
+                v //= p
+            norms[k] = v
+
+    # A cofactor below settled_sq has no prime factor up to its root.
+    settled_sq = (settled + 1) ** 2
+    omega_mod: dict[int, int] = {}
+    split: set[int] = set()   # q for split_prime(q), -q for its conjugate
+    for (i, j), m in itertools.compress(zip(pairs(range(n), 2), norms),
+                                        [m > 1 for m in norms]):
+        x = coords[i][0] + twisted[j][0]
+        y = coords[i][1] + twisted[j][1]
+        if m >= settled_sq:
+            found.update(q for q, _ in factor_e(EInt(x, y)).factors)
+        elif m == 3:
+            found.add(LAMBDA)
+        else:
+            w = omega_mod.get(m)
+            if w is None:
+                pi = split_prime(m)
+                w = omega_mod[m] = -pi.a * pow(pi.b, -1, m) % m
+            split.add(m if (x + y * w) % m == 0 else -m)
+    found.update(split_prime(q) if q > 0 else _conj_split_prime(-q)
+                 for q in split)
+    return tuple(sorted(found, key=lambda x: (x.norm(), x.a, x.b))), None
+
+
 def classify_prime(p: int) -> str:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -402,6 +555,6 @@ def tau_e(x: EInt) -> int:
 __all__ = [
     "DEFAULT_SIEVE_LIMIT", "INT64_MAX", "RationalFactorization",
     "EFactorization", "sieve_limit", "sieve_primes", "prime_pi", "is_prime",
-    "factor_rational", "omega_n", "pair_form_primes", "classify_prime",
-    "split_prime", "factor_e", "omega_e", "tau_e",
+    "factor_rational", "omega_n", "pair_form_primes", "pair_e_primes",
+    "classify_prime", "split_prime", "factor_e", "omega_e", "tau_e",
 ]

@@ -45,11 +45,8 @@ def gcd_by_factoring(x: EInt, y: EInt):
     return g.canonical_associate()[0]
 
 
-@functools.cache
-def pair_primes_naive(a: int, b: int, s: int = 1) -> tuple[int, ...]:
-    """The distinct primes of a^2 + s*a*b + b^2 (s = 1 or -1),
-    increasing, by trial division; shares no code with eulab."""
-    n = a * a + s * a * b + b * b
+def _trial_division_primes(n: int) -> list[int]:
+    """The distinct primes of n > 0, increasing, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -60,7 +57,58 @@ def pair_primes_naive(a: int, b: int, s: int = 1) -> tuple[int, ...]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
+    return out
+
+
+@functools.cache
+def pair_primes_naive(a: int, b: int, s: int = 1) -> tuple[int, ...]:
+    """The distinct primes of a^2 + s*a*b + b^2 (s = 1 or -1),
+    increasing, by trial division; shares no code with eulab."""
+    return tuple(_trial_division_primes(a * a + s * a * b + b * b))
+
+
+@functools.cache
+def _canonical_of_norm(n: int) -> tuple[EInt, ...]:
+    """The canonical elements (0 <= b < a) of norm n, by a scan over a:
+    a^2 - a*b + b^2 = n has the roots b = (a +- sqrt(4n - 3a^2)) / 2."""
+    out = []
+    a = 1
+    while 3 * a * a <= 4 * n:
+        d = 4 * n - 3 * a * a
+        r = math.isqrt(d)
+        if r * r == d:
+            for twice_b in sorted({a - r, a + r}):
+                if twice_b % 2 == 0 and 0 <= twice_b // 2 < a:
+                    out.append(EInt(a, twice_b // 2))
+        a += 1
     return tuple(out)
+
+
+@functools.cache
+def _e_value_primes(x: EInt) -> frozenset:
+    """The canonical primes dividing nonzero x: for each rational prime p
+    of its norm, the elements of norm p that divide x, or, when p is
+    inert and has none, the elements of norm p^2 that divide x."""
+    out = set()
+    for p in _trial_division_primes(x.norm()):
+        found = [d for d in _canonical_of_norm(p) if divides(d, x)]
+        if not found:
+            found = [d for d in _canonical_of_norm(p * p) if divides(d, x)]
+        assert found, (x, p)
+        out.update(found)
+    return frozenset(out)
+
+
+def e_pair_primes_naive(elements, rho: EInt, ordered: bool) -> tuple:
+    """The distinct canonical primes of the product of a + rho*b over the
+    pairs i < j of elements (every i != j when ordered), sorted by
+    (norm, a, b); shares no code with factor_e.  Values must be nonzero."""
+    out = set()
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            if j > i or (ordered and j != i):
+                out |= _e_value_primes(a + rho * b)
+    return tuple(sorted(out, key=lambda x: (x.norm(), x.a, x.b)))
 
 
 def omega_naive(elements) -> int:

@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -34,6 +35,18 @@ def write_set(tmp_path, name, lines):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def seeded_eint_lines(seed, size=60, coord=100):
+    """size distinct elements with coordinates in [-coord, coord]."""
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < size:
+        points.add((rng.randint(-coord, coord), rng.randint(-coord, coord)))
+    return [f"{a},{b}" for a, b in sorted(points)]
+
+
+INT64_MAX = 2**63 - 1
 
 
 class TestFactor:
@@ -211,7 +224,7 @@ class TestVerify:
         assert "beyond the declared 64-bit input range" in err
 
     # Computed before the pair values were sieved, when each one went
-    # through factor_rational.
+    # through factor_rational (cor1, cor2) or factor_e (t1, t2, rho-minus1).
     @pytest.mark.parametrize("argv,digest", [
         (["cor1", "--trials", "2", "--size", "150", "--range", "2000",
           "--seed", "5"],
@@ -231,8 +244,18 @@ class TestVerify:
          "41d3028b1dc6973405e557aa15361ccc38eef73ffc7c55a35e2af3b850305412"),
         (["erdos-turan", "--set", "ints"],
          "ef88c4fafb42551f8c1c9155ebae31f7d45ec5253eb8b2ea853f4e4f5e94658d"),
+        (["t1", "--trials", "2", "--size", "200", "--range", "60",
+          "--seed", "5"],
+         "45e3ed28c034f704c97c76997aa092214574c8f325f0ac0d4a5f25e1af8f5381"),
+        (["t2", "--rho", "0,1", "--trials", "2", "--size", "200",
+          "--range", "60", "--seed", "5"],
+         "2abb753e5f292b7f3a2eeef7c08c5ad00e9bfc22b44292bca1d0cc3140db550a"),
+        (["rho-minus1", "--trials", "2", "--size", "200", "--range", "60",
+          "--seed", "5"],
+         "04017d776d1c2961aa3bb4b31839bc1ac0afe1ede3e0ffda5a5c8625460e7baa"),
     ], ids=["cor1-trials", "cor2-trials", "t1-set", "t2-set", "cor1-set",
-            "cor2-set", "rho-minus1-set", "erdos-turan-set"])
+            "cor2-set", "rho-minus1-set", "erdos-turan-set", "t1-trials",
+            "t2-trials", "rho-minus1-trials"])
     def test_pinned_digests(self, tmp_path, capsys, argv, digest):
         files = {
             "eints": write_set(tmp_path, "e.txt",
@@ -243,6 +266,63 @@ class TestVerify:
         code, _, err = run_cli(["verify", *argv], capsys)
         assert code == 0
         assert last_manifest(err)["output_digest"] == digest
+
+
+    # In each set a zero pair value comes first in pair order, before a
+    # pair value out of range; the verifier flags it.  The digests were
+    # computed when each pair value was factored on its own.
+    @pytest.mark.parametrize("argv,lines,digest", [
+        (["t1"], ["1,0", "-7,0", "7,0", f"{2**32},0", "-1,0"],
+         "1609169d5cd4ff439f72f61832a9aef1a612916d61bcb3527d9940857cc2f85f"),
+        (["t1"], ["-1,0", "1,0", f"{INT64_MAX},0"],
+         "89f274c80a91bb175d9cfc664f11e30513d0ce9e72b15d5855028ee54b1e2222"),
+        (["t2", "--rho", "0,1"], ["1,0", "1,1", f"{2**62},{-2**62}"],
+         "d54592730d3d2a1c189e6d8e27e273a07db03f972d888fc4ca61ce1255972d11"),
+        (["t2", "--rho", "1,0", "--general"],
+         ["-1,0", "1,0", f"{INT64_MAX},0"],
+         "9d0a4c64861e4ba8d17293bf3c59882877c18d304ca0d4f329e5bf1ade6fa26e"),
+    ], ids=["t1-norm", "t1-sum", "t2-rho-b", "t2-general"])
+    def test_zero_pair_before_out_of_range_pair(self, tmp_path, capsys, argv,
+                                                lines, digest):
+        path = write_set(tmp_path, "s.txt", lines)
+        code, out, err = run_cli(["verify", *argv, "--set", path], capsys)
+        report = json.loads(out)["reports"][0]
+        assert code == 0
+        assert report["flagged_zero_factor"] is True
+        assert report["omega"] == "infinite"
+        assert report["witness_primes"] == []
+        assert last_manifest(err)["output_digest"] == digest
+
+    # A pair value out of range (in rho*b, in the sum, or by its norm)
+    # comes before the first zero pair value; rho-minus1 has no zero pair.
+    @pytest.mark.parametrize("argv,lines,error", [
+        (["t1"], ["1,0", "-7,0", "7,0", f"{2**32},0"],
+         "norm exceeds the 64-bit rational factorization range"),
+        (["t1"], ["1,0", "-7,0", "7,0", f"{INT64_MAX},0"],
+         "coordinate out of 64-bit range: (9223372036854775808,0)"),
+        (["t2", "--rho", "0,1"], ["-1,-1", "-1,0", f"{2**62},{-2**62}"],
+         "coordinate out of 64-bit range: "
+         "(4611686018427387904,9223372036854775808)"),
+        (["t2", "--rho", "0,1"], ["0,1", "1,1", f"{INT64_MAX},0"],
+         "coordinate out of 64-bit range: (0,9223372036854775808)"),
+        (["t2", "--rho", "0,1"], ["0,1", "1,1", f"{2**33},0"],
+         "norm exceeds the 64-bit rational factorization range"),
+        (["t2", "--rho", "2,1"], ["-1,0", "0,1", f"{INT64_MAX},0"],
+         "coordinate out of 64-bit range: "
+         "(18446744073709551614,9223372036854775807)"),
+        (["rho-minus1"], ["1,0", f"{-INT64_MAX},0", "2,0"],
+         "coordinate out of 64-bit range: (9223372036854775808,0)"),
+        (["rho-minus1"], ["1,0", f"{2**33},0", "2,0"],
+         "norm exceeds the 64-bit rational factorization range"),
+    ], ids=["t1-norm", "t1-sum", "t2-rho-b", "t2-sum", "t2-norm",
+            "t2-rho-b-no-zero", "rho-minus1-sum", "rho-minus1-norm"])
+    def test_out_of_range_pair_before_zero_pair(self, tmp_path, capsys, argv,
+                                                lines, error):
+        path = write_set(tmp_path, "s.txt", lines)
+        code, out, err = run_cli(["verify", *argv, "--set", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"eulab: {error}\n"
 
 
 class TestRefine:
@@ -306,6 +386,75 @@ class TestRefine:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["refine", "--set", "/no/such/file"], capsys)
         assert code == 2
+
+    # The first zero pair value in pair order is named: i < j for the
+    # additive chain, every i != j with --rho.  The seeded sets come from
+    # seeded_eint_lines.
+    @pytest.mark.parametrize("lines,rho,pair", [
+        (["1,0", "2,0", "-3,0", "3,0", "-5,0", "5,0"], None,
+         "(-3,0) + (3,0)"),
+        (["-1,0", "0,1", "2,0", "0,-2", "3,1", "-1,-2", "5,0"], "0,1",
+         "(0,1) + rho*(-1,0)"),
+        (5, None, "(-58,-58) + (58,58)"),
+        (2, "0,-1", "(93,2) + rho*(-91,-93)"),
+        (11, "2,1", "(-96,75) + rho*(7,-82)"),
+    ], ids=["additive", "omega", "seed5-additive", "seed2-0,-1",
+            "seed11-2,1"])
+    def test_zero_factor_names_first_pair(self, tmp_path, capsys, lines,
+                                          rho, pair):
+        if isinstance(lines, int):
+            lines = seeded_eint_lines(lines)
+        argv = ["refine", "--set", write_set(tmp_path, "z.txt", lines)]
+        if rho is not None:
+            argv += ["--rho", rho]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"eulab: zero factor from pair {pair}\n"
+
+    # A pair value out of range comes before any zero pair value.
+    @pytest.mark.parametrize("lines,rho,error", [
+        (["1,0", f"{INT64_MAX},0", "-5,0", "5,0"], None,
+         "coordinate out of 64-bit range: (9223372036854775808,0)"),
+        (["1,0", "-5,0", "5,0", f"{2**33},0"], None,
+         "norm exceeds the 64-bit rational factorization range"),
+        (["-1,0", "0,1", f"{2**62},{-2**62}"], "0,1",
+         "coordinate out of 64-bit range: "
+         "(4611686018427387904,9223372036854775808)"),
+        (["0,1", "1,1", f"{INT64_MAX},0"], "0,1",
+         "coordinate out of 64-bit range: (0,9223372036854775808)"),
+        (["0,1", "1,1", f"{2**33},0"], "0,1",
+         "norm exceeds the 64-bit rational factorization range"),
+    ], ids=["additive-sum", "additive-norm", "rho-b", "rho-sum", "rho-norm"])
+    def test_out_of_range_pair_before_zero_pair(self, tmp_path, capsys,
+                                                lines, rho, error):
+        argv = ["refine", "--set", write_set(tmp_path, "w.txt", lines)]
+        if rho is not None:
+            argv += ["--rho", rho]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"eulab: {error}\n"
+
+    # Computed when each pair value was factored on its own with factor_e.
+    @pytest.mark.parametrize("rho,digest", [
+        (None,
+         "945998812f6b03215eaa3676a2917e61332f89e1a5915315655ad375fb5a8775"),
+        ("0,-1",
+         "42ddb44578463f1587fe5a3c8121a7a5a3c0ce24bc3f904994c54b642ebd40fe"),
+        ("2,1",
+         "37995273c803ad08d8c5e87e106189fbe9a134d3bbab021102d507c5c2afcdfe"),
+        ("-2,-1",
+         "f9b7fec76ebb3139c045ca082efb7b2bbb3755c59659e8dd473609663c9a720c"),
+    ], ids=["additive", "0,-1", "2,1", "-2,-1"])
+    def test_pinned_digests(self, tmp_path, capsys, rho, digest):
+        path = write_set(tmp_path, "s.txt", seeded_eint_lines(1))
+        argv = ["refine", "--set", path]
+        if rho is not None:
+            argv += ["--rho", rho]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        assert last_manifest(err)["output_digest"] == digest
 
     def test_twisted_sum_out_of_range(self, tmp_path, capsys):
         # every element fits in 64 bits, but a + rho*b does not

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulab.core import EInt, LAMBDA, ZERO, gcd
+from eulab.core import EInt, LAMBDA, OMEGA, ONE, UNITS, ZERO, gcd
 from eulab.factor import (
     _roots_x2_x_1, classify_prime, factor_e, factor_rational, is_prime,
-    omega_e, omega_n, pair_form_primes, prime_pi, sieve_limit, sieve_primes,
-    split_prime, tau_e,
+    omega_e, omega_n, pair_e_primes, pair_form_primes, prime_pi,
+    sieve_limit, sieve_primes, split_prime, tau_e,
 )
-from oracles import enumerate_divisors, gcd_by_factoring, pair_primes_naive
+from oracles import (
+    e_pair_primes_naive, enumerate_divisors, gcd_by_factoring,
+    pair_primes_naive,
+)
 
 
 def test_factor_rational_examples():
@@ -274,3 +277,174 @@ class TestPairFormPrimes:
     def test_fewer_than_two_elements(self):
         assert pair_form_primes((), 1) == ()
         assert pair_form_primes((5,), -1) == ()
+
+
+def factor_e_union(elements, rho, ordered):
+    """The primes of a + rho*b over the pairs, from factor_e per value."""
+    primes = {pi for i, a in enumerate(elements)
+              for j, b in enumerate(elements)
+              if j > i or (ordered and j != i)
+              for pi, _ in factor_e(a + rho * b).factors}
+    return tuple(sorted(primes, key=ekey))
+
+
+def ekey(x):
+    return x.norm(), x.a, x.b
+
+
+def has_zero_pair(elements, rho, ordered):
+    return any((a + rho * b).is_zero() for i, a in enumerate(elements)
+               for j, b in enumerate(elements)
+               if j > i or (ordered and j != i))
+
+
+def eint_set(rng, size, coord, scale=ONE, avoid=None):
+    """size distinct multiples of scale with coordinates up to coord
+    before scaling, sorted; with avoid = (rho, ordered), no pair value
+    a + rho*b is zero."""
+    out = []
+    while len(out) < size:
+        x = scale * EInt(rng.randint(-coord, coord),
+                         rng.randint(-coord, coord))
+        if x not in out and not (
+                avoid and has_zero_pair(sorted(out + [x], key=ekey), *avoid)):
+            out.append(x)
+    return tuple(sorted(out, key=ekey))
+
+
+# (rho, ordered): the additive and difference products are taken over
+# unordered pairs, the twisted ones over ordered pairs
+E_PAIR_CASES = [
+    (ONE, False), (EInt(-1, 0), False), (OMEGA, True), (-OMEGA, True),
+    (LAMBDA, True), (-LAMBDA, True),
+]
+E_PAIR_IDS = ["1", "-1", "omega", "-omega", "2,1", "-2,-1"]
+
+
+class TestPairEPrimes:
+    def check(self, elements, rho, ordered):
+        primes, zero = pair_e_primes(elements, rho, ordered)
+        assert zero is None
+        assert primes == e_pair_primes_naive(elements, rho, ordered)
+        assert primes == factor_e_union(elements, rho, ordered)
+
+    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
+    def test_random_sets(self, rho, ordered):
+        rng = random.Random(f"pair-e:{rho}")
+        for size in (2, 3, 5, 8, 13, 21, 34):
+            for coord in (4, 40, 300):
+                elements = eint_set(rng, size, coord, avoid=(rho, ordered))
+                self.check(elements, rho, ordered)
+
+    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
+    @pytest.mark.parametrize("scale", [
+        LAMBDA,            # 3 | N of every value: lambda divides each one
+        EInt(2, 0),        # the inert 2 divides both coordinates
+        EInt(5, 0),        # the inert 5 divides both coordinates
+        EInt(7, 0),        # 7 | x: both primes above 7 divide each value
+        EInt(3, 1),        # one prime above 7 divides each value
+    ], ids=["lambda", "2", "5", "7", "3,1"])
+    def test_common_factor(self, rho, ordered, scale):
+        rng = random.Random(f"pair-e:{rho}:{scale}")
+        elements = eint_set(rng, 12, 6, scale, avoid=(rho, ordered))
+        self.check(elements, rho, ordered)
+
+    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
+    def test_norms_below_9(self, rho, ordered):
+        # every value has norm 1, 3, 4 or 7: the sieve holds at most the
+        # prime 2, and a cofactor 3 must still give lambda
+        small = (ZERO, *UNITS, LAMBDA, -LAMBDA)
+        checked = 0
+        for size in (2, 3):
+            for elements in itertools.combinations(small, size):
+                elements = tuple(sorted(elements, key=ekey))
+                if has_zero_pair(elements, rho, ordered):
+                    continue
+                top = max((a + rho * b).norm() for a in elements
+                          for b in elements if a != b)
+                if top < 9:
+                    self.check(elements, rho, ordered)
+                    checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
+    def test_small_sieve_limit_falls_back(self, monkeypatch, rho, ordered):
+        # With primes only up to 50 sieved, most cofactors go to factor_e.
+        monkeypatch.setenv("EULAB_SIEVE_LIMIT", "50")
+        rng = random.Random(f"pair-e-50:{rho}")
+        for size in (4, 12, 25):
+            self.check(eint_set(rng, size, 1000, avoid=(rho, ordered)),
+                       rho, ordered)
+
+    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
+    def test_coordinates_near_2_30(self, rho, ordered):
+        # cofactors far beyond the sieve bound go to factor_e
+        rng = random.Random(f"pair-e-big:{rho}")
+        top = 2**30
+        elements = tuple(sorted(
+            {EInt(top - rng.randrange(1000), rng.randrange(2**28))
+             for _ in range(6)}, key=ekey))
+        assert all((a + rho * b).norm() < 2**63 for a in elements
+                   for b in elements)
+        primes, zero = pair_e_primes(elements, rho, ordered)
+        assert zero is None
+        assert primes == factor_e_union(elements, rho, ordered)
+        assert primes[-1].norm() > 4096 ** 2
+
+    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
+    def test_first_zero_pair_is_returned(self, rho, ordered):
+        rng = random.Random(f"pair-e-zero:{rho}")
+        found = 0
+        for _ in range(300):
+            elements = eint_set(rng, 12, 4)
+            zeros = [(a, b) for i, a in enumerate(elements)
+                     for j, b in enumerate(elements)
+                     if (j > i or (ordered and j != i))
+                     and (a + rho * b).is_zero()]
+            got = pair_e_primes(elements, rho, ordered)
+            assert got == (((), zeros[0]) if zeros else
+                           (e_pair_primes_naive(elements, rho, ordered),
+                            None))
+            found += bool(zeros)
+        # rho = -1 has no zero pair; the others meet one in most sets
+        assert found >= 50 or rho == EInt(-1, 0)
+
+    @pytest.mark.parametrize("elements,rho,ordered,error", [
+        # an oversized norm before a zero pair
+        (["1,0", "-7,0", "7,0", f"{2**32},0"], "1,0", False,
+         "norm exceeds the 64-bit rational factorization range"),
+        # a coordinate overflow in the sum before a zero pair
+        (["1,0", "-7,0", "7,0", f"{2**63 - 1},0"], "1,0", False,
+         "coordinate out of 64-bit range: (9223372036854775808,0)"),
+        # overflow in rho*b, then in the sum, then a zero pair at (1, 0)
+        (["-1,-1", "-1,0", f"{2**62},{-2**62}"], "0,1", True,
+         "coordinate out of 64-bit range: "
+         "(4611686018427387904,9223372036854775808)"),
+        (["0,1", "1,1", f"{2**63 - 1},0"], "0,1", True,
+         "coordinate out of 64-bit range: (0,9223372036854775808)"),
+        (["0,1", "1,1", f"{2**33},0"], "0,1", True,
+         "norm exceeds the 64-bit rational factorization range"),
+    ])
+    def test_first_out_of_range_pair_raises(self, elements, rho, ordered,
+                                            error):
+        elements = tuple(sorted(map(EInt.parse, elements), key=ekey))
+        with pytest.raises((ValueError, OverflowError)) as info:
+            pair_e_primes(elements, EInt.parse(rho), ordered)
+        assert str(info.value) == error
+
+    def test_rho_b_out_of_range_with_small_sum(self):
+        # rho*b = 2^63 overflows although a + rho*b = 1 fits
+        elements = (EInt(-(2**63 - 1), 0), EInt(2**62, 0))
+        with pytest.raises(OverflowError) as info:
+            pair_e_primes(elements, EInt(2, 0), False)
+        assert str(info.value) == \
+            "coordinate out of 64-bit range: (9223372036854775808,0)"
+
+    def test_zero_pair_before_out_of_range_pair(self):
+        elements = (EInt(1, 0), EInt(1, 1), EInt(2**62, -2**62))
+        assert pair_e_primes(elements, OMEGA, True) == \
+            ((), (EInt(1, 0), EInt(1, 1)))
+
+    def test_fewer_than_two_elements(self):
+        assert pair_e_primes((), ONE, False) == ((), None)
+        assert pair_e_primes((LAMBDA,), OMEGA, True) == ((), None)
