@@ -13,7 +13,10 @@ Color assignments are defined by a greedy pass over ring representatives in
 enumeration order.  Splitting a set only needs the colors of a handful of
 residues, so those are evaluated lazily: a residue's greedy color depends
 only on neighbors that enumerate earlier, and that recursion is replayed
-on demand.  The eager and lazy evaluations agree by construction and the
+on demand.  The lazy walks run on the raw coordinate pairs of reduced
+residues, which are also their enumeration rank: products are reduced
+with ResidueRing.reduce_pair and memoized by pair, so no EInt is built
+per residue.  The eager and lazy evaluations agree by construction and the
 test suite checks them against each other on whole rings.
 """
 
@@ -104,19 +107,17 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
     return Coloring(ring, pi, 2, assignment)
 
 
-def _lazy_uv_group(ring: ResidueRing, r: EInt, memo: dict[EInt, int]) -> int:
-    """uv_coloring's group of the reduced residue r.  Reduced residues
-    enumerate in (a, b) order, so their coordinates are their rank."""
-    got = memo.get(r)
-    if got is not None:
-        return got
-    partner = ring.reduce(-r)
-    if (partner.a, partner.b) < (r.a, r.b):
-        g = 1 - _lazy_uv_group(ring, partner, memo)
-    else:
-        g = 0
-    memo[r] = g
-    return g
+def _lazy_uv_group(ring: ResidueRing, r: EInt,
+                   memo: dict[tuple[int, int], int]) -> int:
+    """uv_coloring's group of the reduced residue r: 0 when r enumerates
+    before its negative, 1 after.  Reduced residues enumerate in (a, b)
+    order, so their coordinates are their rank; the memo is keyed on them
+    and -r is reduced on raw coordinates."""
+    key = r.a, r.b
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = 0 if key < ring.reduce_pair(-r.a, -r.b) else 1
+    return got
 
 
 def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
@@ -152,22 +153,37 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
 
 
 def _lazy_three_group(ring: ResidueRing, neg: EInt, neg_inv: EInt,
-                      r: EInt, memo: dict[EInt, int]) -> int:
+                      r: EInt, memo: dict[tuple[int, int], int]) -> int:
     """Greedy color of the reduced residue r, replaying only the
-    earlier-enumerated dependency chain.  Matches three_coloring exactly;
-    reduced residues enumerate in (a, b) order."""
-    stack = [r]
+    earlier-enumerated dependency chain.  Matches three_coloring exactly."""
+    return _three_group(ring, neg, neg_inv, (r.a, r.b), memo)
+
+
+def _three_group(ring: ResidueRing, neg: EInt, neg_inv: EInt,
+                 key: tuple[int, int], memo: dict[tuple[int, int], int],
+                 ) -> int:
+    """_lazy_three_group on the coordinate pair key of a reduced residue.
+    Reduced residues enumerate in (a, b) order, so a pair is its rank; the
+    walk and the memo stay on such pairs, each product with neg or neg_inv
+    reduced by ring.reduce_pair."""
+    got = memo.get(key)
+    if got is not None:
+        return got
+    reduce_pair = ring.reduce_pair
+    mults = (neg.a, neg.b), (neg_inv.a, neg_inv.b)
+    stack = [key]
     while stack:
         cur = stack[-1]
         if cur in memo:
             stack.pop()
             continue
-        pos = cur.a, cur.b
+        a, b = cur
         nbrs = []
         missing = []
-        for mult in (neg, neg_inv):
-            n = ring.reduce(mult * cur)
-            if n != cur and (n.a, n.b) < pos:
+        for ma, mb in mults:
+            # (a + b w)(ma + mb w) with w^2 = -1 - w
+            n = reduce_pair(a * ma - b * mb, a * mb + ma * b - b * mb)
+            if n < cur:
                 nbrs.append(n)
                 if n not in memo:
                     missing.append(n)
@@ -180,7 +196,7 @@ def _lazy_three_group(ring: ResidueRing, neg: EInt, neg_inv: EInt,
                 memo[cur] = c
                 break
         stack.pop()
-    return memo[r]
+    return memo[key]
 
 
 # --------------------------------------------------------------------------
@@ -276,22 +292,23 @@ def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
     """
     elements = _sorted_set(elements)
     gamma = valuation(pi, rho)
-    rho0 = exact_div(rho, pi ** gamma)
+    rho0 = exact_div(rho, pi ** gamma) if gamma else rho
     if rho0 == MINUS_ONE:
         raise ValueError("-rho is a power of the prime; use valuation_split")
     delta = valuation(pi, ONE + rho0)
     ring = ResidueRing(pi ** (delta + 1))
     neg = ring.reduce(-rho0)
     neg_inv = ring.reduce(-ring.inverse(rho0))
-    memo: dict[EInt, int] = {}
+    memo: dict[tuple[int, int], int] = {}
     buckets: list[list[EInt]] = [[], [], []]
     for a in elements:
         if a.is_zero():
             buckets[0].append(a)
             continue
-        a0 = exact_div(a, pi ** valuation(pi, a))
-        g = _lazy_three_group(ring, neg, neg_inv, ring.reduce(a0), memo)
-        buckets[g].append(a)
+        v = valuation(pi, a)
+        a0 = exact_div(a, pi ** v) if v else a
+        key = ring.reduce_pair(a0.a, a0.b)
+        buckets[_three_group(ring, neg, neg_inv, key, memo)].append(a)
     kept = _keep_largest(buckets)
     record = SplitRecord(pi, "lemma2", tuple(len(b) for b in buckets), kept)
     return tuple(buckets[kept]), record
@@ -325,7 +342,7 @@ def _uv_split(elements: Sequence[EInt], pi: EInt,
     """Halve a zero-free set so that same-bucket unit parts never sum to a
     multiple of pi; all elements keep v(a+b) = min(v(a), v(b))."""
     ring = ResidueRing(pi)
-    memo: dict[EInt, int] = {}
+    memo: dict[tuple[int, int], int] = {}
     buckets: list[list[EInt]] = [[], []]
     for a in elements:
         a0 = exact_div(a, pi ** valuation(pi, a))
@@ -458,7 +475,6 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
         snapshots.append(current)
         steps.append(record)
     final = snapshots[-1]
-    exponents = {pi: c_exponent(pi, rho) for pi in primes}
     transfer_ok = True
     pairs = 0
     for a in final:
@@ -468,7 +484,7 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
             pairs += 1
             f = a + rho * b
             for pi, u in factor_e(f).factors:
-                drop = u - exponents[pi]
+                drop = u - c_exponent(pi, rho)
                 if drop <= 0:
                     continue
                 power = pi ** drop

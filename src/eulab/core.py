@@ -316,6 +316,12 @@ class ResidueRing:
         v = (v - k * self.c) % self.d2
         return EInt(u, v)
 
+    def reduce_pair(self, u: int, v: int) -> tuple[int, int]:
+        """reduce() on raw coordinates: the reduced (a, b) of u + v*omega.
+        Builds no EInt, so u and v may leave the 64-bit range."""
+        k = u // self.d1
+        return u - k * self.d1, (v - k * self.c) % self.d2
+
     def position(self, x: EInt) -> tuple[int, int]:
         """Rank of reduce(x) in enumeration order, as a comparable pair."""
         r = self.reduce(x)
@@ -338,6 +344,21 @@ class ResidueRing:
                 yield r
 
     def inverse(self, x: EInt) -> EInt:
+        """The reduced inverse of x mod mu.
+
+        When N(x) is prime to N(mu), x * conj(x) = N(x) is invertible mod
+        N(mu) and so mod mu (mu divides N(mu)); conj(x) * N(x)^-1, the
+        rational inverse taken mod N(mu), is then an inverse, and a reduced
+        inverse is unique.  It is reduced on raw coordinates, since the
+        product may leave the 64-bit coordinate range.  Any other x goes
+        through the extended Euclidean gcd in E, which also rejects a
+        non-invertible x.
+        """
+        a, b = x.a, x.b
+        n = a * a - a * b + b * b
+        if math.gcd(n, self.size) == 1:
+            t = pow(n, -1, self.size)
+            return EInt(*self.reduce_pair((a - b) * t, -b * t))
         g, s, _ = _xgcd(x, self.modulus)
         if not g.is_unit():
             raise ValueError(f"{x} is not invertible mod {self.modulus}")

@@ -205,14 +205,23 @@ def factor_rational(n: int) -> RationalFactorization:
     m = abs(n)
     counts: dict[int, int] = {}
     # Trial division to 3000, then a primality check that cuts the walk
-    # short when the cofactor is prime, then on to _TRIAL_BOUND.
+    # short when the cofactor is prime, then on to _TRIAL_BOUND.  A
+    # cofactor is settled as prime (or 1) once p^2 exceeds it, since it
+    # has no prime factor below p, or when that check passes; only one
+    # left at _TRIAL_BOUND or past the last sieve prime goes on to
+    # _factor_hard.
     checked = False
+    settled = False
     for p in sieve_primes():
-        if p * p > m or p > _TRIAL_BOUND:
+        if p * p > m:
+            settled = True
+            break
+        if p > _TRIAL_BOUND:
             break
         if p > 3000 and not checked:
             checked = True
             if m > 1 and is_prime(m):
+                settled = True
                 break
         if m % p == 0:
             e = 0
@@ -221,7 +230,10 @@ def factor_rational(n: int) -> RationalFactorization:
                 e += 1
             counts[p] = e
     if m > 1:
-        _factor_hard(m, counts)
+        if settled:
+            counts[m] = 1
+        else:
+            _factor_hard(m, counts)
     return RationalFactorization(sign, tuple(sorted(counts.items())))
 
 

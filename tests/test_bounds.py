@@ -7,9 +7,9 @@ import pytest
 
 from eulab.core import EInt, LAMBDA, ONE, OMEGA, ResidueRing, ZERO, divides, valuation
 from eulab.bounds import (
-    BoundReport, ZeroFactorError, c_constants, c_exponent, coset_split,
-    phi, random_eint_set, random_int_set, run_trials, three_coloring,
-    uv_coloring, valuation_split, verify_cor1, verify_cor2,
+    BoundReport, SplitRecord, ZeroFactorError, c_constants, c_exponent,
+    coset_split, phi, random_eint_set, random_int_set, run_trials,
+    three_coloring, uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
     _lazy_three_group, _lazy_uv_group, _prime_power_units,
 )
@@ -193,6 +193,42 @@ class TestCosetSplit:
                         power = pi ** drop
                         assert a.is_zero() or divides(power, a)
                         assert b.is_zero() or divides(power, b)
+
+    # (pi, rho) with (gamma, delta) = (0,0), (0,1), (0,2), (1,0), (1,0),
+    # (0,1)
+    ORACLE_CASES = [
+        (LAMBDA, OMEGA),              # 1 + omega is a unit
+        (LAMBDA, ONE + OMEGA),        # 1 + rho = lambda
+        (LAMBDA, EInt(2, 0)),         # 1 + rho = 3 = -omega^2 lambda^2
+        (LAMBDA, LAMBDA * OMEGA),     # rho0 = omega
+        (EInt(3, 1), EInt(3, 1)),     # rho0 = 1, 1 + rho0 = 2
+        (EInt(3, 1), EInt(2, 1)),     # 1 + rho = (3,1)
+    ]
+
+    @pytest.mark.parametrize("pi,rho", ORACLE_CASES)
+    def test_matches_eager_coloring(self, pi, rho):
+        gamma = valuation(pi, rho)
+        rho0 = rho // pi ** gamma
+        col = three_coloring(pi, rho0)
+        rng = random.Random(f"coset:{pi}:{rho}")
+        for trial in range(12):
+            base = random_eint_set(rng, rng.randint(1, 15), 25)
+            extra = [pi ** rng.randint(1, 3) * x for x in base[:4]]
+            elements = set(base) | set(extra)
+            if trial % 2 == 0:
+                elements.add(ZERO)
+            buckets = [[], [], []]
+            for a in sorted(elements, key=lambda x: (x.norm(), x.a, x.b)):
+                if a.is_zero():
+                    buckets[0].append(a)
+                    continue
+                a0 = a // pi ** valuation(pi, a)
+                buckets[col.group_of(a0)].append(a)
+            sizes = tuple(len(b) for b in buckets)
+            kept, record = coset_split(elements, pi, rho)
+            assert record == SplitRecord(pi, "lemma2", sizes,
+                                         sizes.index(max(sizes)))
+            assert kept == tuple(buckets[record.kept])
 
     def test_zero_goes_to_bucket_zero(self):
         kept, record = coset_split([ZERO, ONE], LAMBDA, OMEGA)

@@ -14,6 +14,7 @@ from eulab.core import (
     COORD_BOUND, EInt, LAMBDA, OMEGA, ONE, UNITS, ZERO, ResidueRing,
     divides, exact_div, gcd, unit_inverse, valuation,
 )
+from eulab.core import _xgcd
 
 coords = st.integers(min_value=-200, max_value=200)
 eints = st.builds(EInt, coords, coords)
@@ -273,6 +274,70 @@ def test_mod_inverse():
         assert ring.reduce(r * inv) == one
     with pytest.raises(ValueError):
         ResidueRing(EInt(4, 0)).inverse(EInt(2, 0))
+
+
+def _inverse_by_xgcd(ring, x):
+    """Oracle: the reduced inverse from the extended Euclidean gcd in E."""
+    g, s, _ = _xgcd(x, ring.modulus)
+    assert g.is_unit()
+    return ring.reduce(s * g.conj())
+
+
+PI31 = EInt(3, 1)  # split prime of norm 7
+
+
+@pytest.mark.parametrize("modulus", [
+    LAMBDA, LAMBDA ** 3, PI31, PI31 ** 2, EInt(2, 0), EInt(4, 0),
+    EInt(9, 5), EInt(7, 0),  # 7 = (3,1)(3,2) is composite
+])
+def test_inverse_matches_xgcd_oracle(modulus):
+    ring = ResidueRing(modulus)
+    one = ring.reduce(ONE)
+    reduced = list(ring.reduced_representatives())
+    assert reduced
+    for r in reduced:
+        inv = ring.inverse(r)
+        assert inv == _inverse_by_xgcd(ring, r)
+        assert ring.reduce(r * inv) == one
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_inverse_fallback_when_norms_share_a_prime(k):
+    # N(conj(pi)) = N(pi) = 7, yet conj(pi) is coprime to pi since 7 splits
+    ring = ResidueRing(PI31 ** k)
+    x = PI31.conj()
+    assert math.gcd(x.norm(), ring.size) != 1
+    inv = ring.inverse(x)
+    assert inv == _inverse_by_xgcd(ring, x)
+    assert ring.reduce(x * inv) == ring.reduce(ONE)
+
+
+def test_inverse_of_unreduced_and_large_inputs():
+    # The norm-based inverse reduces its product on raw coordinates, so
+    # coordinates near the 64-bit bound are fine; the Euclidean oracle would overflow
+    # on them and is given the reduced residue instead.
+    ring = ResidueRing(EInt(9, 5))
+    for x in (EInt(2**62 + 1, -(2**61)), EInt(-COORD_BOUND, COORD_BOUND),
+              EInt(-5, 17)):
+        r = ring.reduce(x)
+        assert ring.inverse(x) == ring.inverse(r) == _inverse_by_xgcd(ring, r)
+        assert ring.reduce(r * ring.inverse(r)) == ring.reduce(ONE)
+
+
+def test_inverse_mod_unit_is_zero():
+    ring = ResidueRing(OMEGA)
+    for x in (ZERO, ONE, EInt(5, 3), PI31):
+        assert ring.inverse(x) == ZERO == _inverse_by_xgcd(ring, x)
+
+
+@pytest.mark.parametrize("modulus,x", [
+    (EInt(4, 0), EInt(2, 0)), (PI31, PI31), (PI31 ** 2, PI31 * OMEGA),
+    (EInt(7, 0), EInt(3, 2)), (LAMBDA ** 3, ZERO),
+])
+def test_inverse_rejects_non_invertible(modulus, x):
+    with pytest.raises(ValueError, match=rf"^{x} is not invertible mod "
+                                         rf"{modulus}$"):
+        ResidueRing(modulus).inverse(x)
 
 
 def test_positions_follow_enumeration_order():

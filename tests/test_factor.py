@@ -75,6 +75,48 @@ def test_factor_rational_large_cofactors(primes):
         assert is_prime(p) and _is_prime_by_trial_division(p)
 
 
+def _factors_by_trial_division(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+# p^2 and p*q with p just below and q just above sqrt(p*q), around the
+# Miller-Rabin checkpoint at 3000, the sieve limit of 50 and the trial
+# bound of 65536; prime cofactors settled by p^2 > m with and without
+# small factors in front.
+EDGE_VALUES = [
+    2, 4, 49, 47 * 47, 53 * 53, 47 * 53, 43 * 47, 53 * 59, 2 * 53 * 59,
+    2999 * 2999, 3001 * 3001, 2999 * 3001, 2729 * 2731, 3001 * 3011,
+    6 * 3001 * 3011, 30 * 65521, 65521 * 65521, 65537 * 65537,
+    65521 * 65537, 3 * 65519 * 65521, 2**20 * 1000003, 999983 * 1000003,
+    2 * 3 * 5 * 7 * 11 * 13, 7**12, 9973 * 9973 * 9967,
+]
+
+
+@pytest.mark.parametrize("limit", [None, "50"])
+def test_factor_rational_matches_trial_division(monkeypatch, limit):
+    # The uncached body, so each value goes through the limit in force.
+    if limit is not None:
+        monkeypatch.setenv("EULAB_SIEVE_LIMIT", limit)
+    raw = factor_rational.__wrapped__
+    rng = random.Random(f"edge:{limit}")
+    values = EDGE_VALUES + [rng.randrange(2, 2 * 10**5) for _ in range(300)]
+    for n in values:
+        assert raw(n).factors == _factors_by_trial_division(n), n
+        assert raw(-n).factors == raw(n).factors and raw(-n).sign == -1
+
+
 def test_is_prime_matches_sieve():
     primes = set(sieve_primes())
     rng = random.Random(7)
