@@ -152,20 +152,14 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
     return Coloring(ring, pi, 3, assignment, delta=delta)
 
 
-def _lazy_three_group(ring: ResidueRing, neg: EInt, neg_inv: EInt,
-                      r: EInt, memo: dict[tuple[int, int], int]) -> int:
-    """Greedy color of the reduced residue r, replaying only the
-    earlier-enumerated dependency chain.  Matches three_coloring exactly."""
-    return _three_group(ring, neg, neg_inv, (r.a, r.b), memo)
-
-
 def _three_group(ring: ResidueRing, neg: EInt, neg_inv: EInt,
                  key: tuple[int, int], memo: dict[tuple[int, int], int],
                  ) -> int:
-    """_lazy_three_group on the coordinate pair key of a reduced residue.
-    Reduced residues enumerate in (a, b) order, so a pair is its rank; the
-    walk and the memo stay on such pairs, each product with neg or neg_inv
-    reduced by ring.reduce_pair."""
+    """Greedy color of the reduced residue with coordinate pair key,
+    replaying only the earlier-enumerated dependency chain; matches
+    three_coloring exactly.  Reduced residues enumerate in (a, b) order,
+    so a pair is its rank; the walk and the memo stay on such pairs, each
+    product with neg or neg_inv reduced by ring.reduce_pair."""
     got = memo.get(key)
     if got is not None:
         return got

@@ -162,8 +162,12 @@ class EInt:
         na = sa * oa - sa * ob + sb * ob
         nb = sb * oa - sa * ob
         n = oa * oa - oa * ob + ob * ob
-        q = EInt(_round_half_down(na, n), _round_half_down(nb, n))
-        return q, self - q * other
+        qa, qb = _round_half_down(na, n), _round_half_down(nb, n)
+        # self - q*other on plain ints too: q*other may leave the range
+        # when q and the remainder both fit.
+        q = EInt(qa, qb)
+        return q, EInt(sa - (qa * oa - qb * ob),
+                       sb - (qa * ob + oa * qb - qb * ob))
 
     def __floordiv__(self, other: object) -> EInt:
         return divmod(self, other)[0]

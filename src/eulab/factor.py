@@ -22,18 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from typing import Sequence
 
 from eulab.core import (
     COORD_BOUND, EInt, LAMBDA, ONE, divides, exact_div, gcd,
 )
 
-DEFAULT_SIEVE_LIMIT = 10**6
 INT64_MAX = 2**63 - 1
 
 # pair_form_primes and pair_e_primes sieve pair values (norms in E) with
@@ -48,29 +45,15 @@ _PAIR_SIEVE_BOUND = 4096
 # factor_rational trial-divides by the sieve primes up to this bound and
 # leaves the cofactor to _factor_hard.  A composite cofactor with no prime
 # factor below it is split by Brent's method far sooner than by trial
-# division on to the sieve limit.
+# division on past the bound.
 _TRIAL_BOUND = 65536
 
-_sieve_state: dict = {"limit": None, "primes": None}
 
-
-def sieve_limit() -> int:
-    """Sieve bound; the EULAB_SIEVE_LIMIT environment variable overrides."""
-    raw = os.environ.get("EULAB_SIEVE_LIMIT")
-    if raw is None:
-        return DEFAULT_SIEVE_LIMIT
-    limit = int(raw)
-    if limit < 2:
-        raise ValueError("EULAB_SIEVE_LIMIT must be at least 2")
-    return limit
-
-
+@cache
 def sieve_primes() -> list[int]:
-    limit = sieve_limit()
-    if _sieve_state["limit"] != limit:
-        _sieve_state["primes"] = _sieve(limit)
-        _sieve_state["limit"] = limit
-    return _sieve_state["primes"]
+    """The primes up to _TRIAL_BOUND + 1, the last of them 65537: no
+    caller reads further, and factor_rational's walk stops at that prime."""
+    return _sieve(_TRIAL_BOUND + 1)
 
 
 def _sieve(limit: int) -> list[int]:
@@ -96,14 +79,16 @@ def _roots_x2_x_1(p: int) -> tuple[int, ...]:
 
 
 def prime_pi(x: float) -> int:
-    """Number of rational primes not exceeding x."""
+    """Number of rational primes not exceeding x, for 0 <= x < 65538:
+    the prime table of sieve_primes() ends at 65537."""
     if x < 0:
         raise ValueError("prime_pi needs a nonnegative argument")
     n = math.floor(x)
-    if n > sieve_limit():
-        raise ValueError(f"prime_pi argument {x} exceeds the sieve bound; "
-                         "raise EULAB_SIEVE_LIMIT")
-    return bisect_right(sieve_primes(), n)
+    primes = sieve_primes()
+    if n > primes[-1]:
+        raise ValueError(f"prime_pi argument {x} exceeds the prime table "
+                         f"bound {primes[-1]}")
+    return bisect_right(primes, n)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -208,8 +193,8 @@ def factor_rational(n: int) -> RationalFactorization:
     # short when the cofactor is prime, then on to _TRIAL_BOUND.  A
     # cofactor is settled as prime (or 1) once p^2 exceeds it, since it
     # has no prime factor below p, or when that check passes; only one
-    # left at _TRIAL_BOUND or past the last sieve prime goes on to
-    # _factor_hard.
+    # left at _TRIAL_BOUND goes on to _factor_hard.  The walk always
+    # breaks, as the last sieve prime, 65537, exceeds _TRIAL_BOUND.
     checked = False
     settled = False
     for p in sieve_primes():
@@ -403,8 +388,7 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     # factor_e calls it could save: verify_t1 on 3 elements with
     # coordinates near 1000 took 2.1 ms with the sieve to isqrt(top)
     # against 0.3 ms with one factor_e call per pair (2 vCPUs, Python 3.11).
-    settled = min(math.isqrt(top), _PAIR_SIEVE_BOUND, sieve_limit(),
-                  len(norms))
+    settled = min(math.isqrt(top), _PAIR_SIEVE_BOUND, len(norms))
     primes = sieve_primes()
     primes = primes[:bisect_right(primes, settled)]
     found: set[EInt] = set()
@@ -486,19 +470,13 @@ def split_prime(p: int) -> EInt:
     """The canonical prime above a rational prime p = 1 mod 3.
 
     A cube root of unity r mod p gives p | N(r - omega), so gcd(p, r - omega)
-    drops to a norm-p element.  The base g is drawn from a PRNG seeded with p
-    itself: random search, reproducible output.
+    drops to a norm-p element.  r is the first root _roots_x2_x_1(p)
+    gives; which of the two conjugates comes back depends on that choice
+    alone, and callers sort the primes they collect.
     """
     if classify_prime(p) != "split":
         raise ValueError(f"{p} does not split (p mod 3 != 1)")
-    rng = random.Random(p)
-    e = (p - 1) // 3
-    while True:
-        g = rng.randrange(2, p)
-        r = pow(g, e, p)
-        if r != 1 and (r * r + r + 1) % p == 0:
-            break
-    pi = gcd(EInt(p, 0), EInt(r, -1))
+    pi = gcd(EInt(p, 0), EInt(_roots_x2_x_1(p)[0], -1))
     if pi.norm() != p:
         raise AssertionError(f"norm of split prime over {p} is {pi.norm()}")
     return pi
@@ -565,8 +543,8 @@ def tau_e(x: EInt) -> int:
 
 
 __all__ = [
-    "DEFAULT_SIEVE_LIMIT", "INT64_MAX", "RationalFactorization",
-    "EFactorization", "sieve_limit", "sieve_primes", "prime_pi", "is_prime",
+    "INT64_MAX", "RationalFactorization", "EFactorization", "sieve_primes",
+    "prime_pi", "is_prime",
     "factor_rational", "omega_n", "pair_form_primes", "pair_e_primes",
     "classify_prime", "split_prime", "factor_e", "omega_e", "tau_e",
 ]

@@ -37,10 +37,11 @@ import itertools
 import math
 import multiprocessing
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from eulab.factor import _roots_x2_x_1, _sieve
+from eulab.factor import _roots_x2_x_1, sieve_primes
 
 MAX_TABLE_ELEMENT = 2000
 
@@ -66,8 +67,9 @@ class PairPrimeCache:
                 f"max_element must be in 2..{MAX_TABLE_ELEMENT}")
         self.max_element = max_element
         m = max_element
+        primes = sieve_primes()
         roots = [(p, _roots_x2_x_1(p))
-                 for p in _sieve(math.isqrt(3 * m * m))]
+                 for p in primes[:bisect_right(primes, math.isqrt(3 * m * m))]]
         # The prime lists of all pairs, in the order (1, 2), (1, 3), ...
         table: list[list[int]] = []
         for a in range(1, m):

@@ -11,7 +11,7 @@ from eulab.bounds import (
     coset_split, phi, random_eint_set, random_int_set, run_trials,
     three_coloring, uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
-    _lazy_three_group, _lazy_uv_group, _prime_power_units,
+    _lazy_uv_group, _prime_power_units, _three_group,
 )
 
 MINUS_ONE = EInt(-1, 0)
@@ -101,7 +101,7 @@ class TestThreeColoring:
         neg_inv = ring.reduce(-ring.inverse(rho0))
         memo = {}
         for r in ring.reduced_representatives():
-            assert _lazy_three_group(ring, neg, neg_inv, r, memo) == \
+            assert _three_group(ring, neg, neg_inv, (r.a, r.b), memo) == \
                 col.assignment[r]
 
     def test_rejects_bad_rho0(self):

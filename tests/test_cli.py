@@ -1,14 +1,12 @@
 """End-to-end tests for the command-line interface.
 
-Most tests drive cli.main() in process and capture stdout/stderr; a couple
-run the module as a subprocess to cover the real entry point and the
-sieve-limit environment variable.
+Most tests drive cli.main() in process and capture stdout/stderr; one
+runs the module as a subprocess to cover the real entry point.
 """
 
 import dataclasses
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -648,12 +646,3 @@ class TestSubprocess:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["omega"] == 2
-
-    def test_sieve_limit_env(self):
-        env = dict(os.environ, EULAB_SIEVE_LIMIT="600")
-        proc = subprocess.run(
-            [sys.executable, "-m", "eulab.cli", "factor", "--n", "1022117"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        obj = json.loads(proc.stdout)
-        assert obj["factors"] == [{"p": 1009, "e": 1}, {"p": 1013, "e": 1}]

@@ -181,6 +181,20 @@ def test_divmod_remainder_bound(x, y):
     assert 4 * r.norm() <= 3 * y.norm()
 
 
+def test_divmod_and_gcd_at_the_coordinate_bound():
+    # q*y leaves the 64-bit range here although q and r both fit, so the
+    # identity is checked on plain integers.
+    x, y = EInt(-COORD_BOUND, COORD_BOUND), EInt(9, 5)
+    q, r = divmod(x, y)
+    assert (q, r) == (EInt(151202820276307800, 2116839483868309202),
+                      EInt(3, -1))
+    assert (q.a * y.a - q.b * y.b + r.a,
+            q.a * y.b + y.a * q.b - q.b * y.b + r.b) == (x.a, x.b)
+    assert 4 * r.norm() <= 3 * y.norm()
+    g = gcd(x, y)
+    assert divides(g, x) and divides(g, y)
+
+
 def test_gcd_example():
     x = EInt(2, 1) * EInt(3, 1)
     y = EInt(2, 1) * EInt(2, 0)

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulab import factor
 from eulab.core import EInt, LAMBDA, OMEGA, ONE, UNITS, ZERO, gcd
 from eulab.factor import (
-    _roots_x2_x_1, classify_prime, factor_e, factor_rational, is_prime,
-    omega_e, omega_n, pair_e_primes, pair_form_primes, prime_pi,
-    sieve_limit, sieve_primes, split_prime, tau_e,
+    _conj_split_prime, _roots_x2_x_1, _sieve, classify_prime, factor_e,
+    factor_rational, is_prime, omega_e, omega_n, pair_e_primes,
+    pair_form_primes, prime_pi, sieve_primes, split_prime, tau_e,
 )
 from oracles import (
-    e_pair_primes_naive, enumerate_divisors, gcd_by_factoring,
-    pair_primes_naive,
+    _canonical_of_norm, e_pair_primes_naive, enumerate_divisors,
+    gcd_by_factoring, pair_primes_naive,
 )
 
 
@@ -92,9 +93,9 @@ def _factors_by_trial_division(n):
 
 
 # p^2 and p*q with p just below and q just above sqrt(p*q), around the
-# Miller-Rabin checkpoint at 3000, the sieve limit of 50 and the trial
-# bound of 65536; prime cofactors settled by p^2 > m with and without
-# small factors in front.
+# Miller-Rabin checkpoint at 3000, a lowered trial bound of 50 and the
+# trial bound of 65536; prime cofactors settled by p^2 > m with and
+# without small factors in front.
 EDGE_VALUES = [
     2, 4, 49, 47 * 47, 53 * 53, 47 * 53, 43 * 47, 53 * 59, 2 * 53 * 59,
     2999 * 2999, 3001 * 3001, 2999 * 3001, 2729 * 2731, 3001 * 3011,
@@ -104,13 +105,14 @@ EDGE_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("limit", [None, "50"])
-def test_factor_rational_matches_trial_division(monkeypatch, limit):
-    # The uncached body, so each value goes through the limit in force.
-    if limit is not None:
-        monkeypatch.setenv("EULAB_SIEVE_LIMIT", limit)
+@pytest.mark.parametrize("bound", [None, 50])
+def test_factor_rational_matches_trial_division(monkeypatch, bound):
+    # The uncached body, so each value goes through the bound in force;
+    # at 50 most cofactors are left to _factor_hard.
+    if bound is not None:
+        monkeypatch.setattr(factor, "_TRIAL_BOUND", bound)
     raw = factor_rational.__wrapped__
-    rng = random.Random(f"edge:{limit}")
+    rng = random.Random(f"edge:{bound}")
     values = EDGE_VALUES + [rng.randrange(2, 2 * 10**5) for _ in range(300)]
     for n in values:
         assert raw(n).factors == _factors_by_trial_division(n), n
@@ -118,7 +120,7 @@ def test_factor_rational_matches_trial_division(monkeypatch, limit):
 
 
 def test_is_prime_matches_sieve():
-    primes = set(sieve_primes())
+    primes = set(_sieve(10**6))
     rng = random.Random(7)
     for _ in range(2000):
         n = rng.randrange(2, 10**6)
@@ -130,18 +132,23 @@ def test_prime_pi():
     assert prime_pi(2) == 1
     assert prime_pi(10) == 4
     assert prime_pi(14.2) == 6
+    assert prime_pi(997) == 168
+    assert prime_pi(65537) == 6543
     with pytest.raises(ValueError):
         prime_pi(-1)
-
-
-def test_sieve_limit_env_override(monkeypatch):
-    monkeypatch.setenv("EULAB_SIEVE_LIMIT", "1000")
-    assert sieve_limit() == 1000
-    assert prime_pi(997) == 168
+    with pytest.raises(ValueError):
+        prime_pi(65538)
     with pytest.raises(ValueError):
         prime_pi(10**5)
-    monkeypatch.delenv("EULAB_SIEVE_LIMIT")
-    assert sieve_limit() == 10**6
+
+
+def test_sieve_primes_end_at_65537():
+    # factor_rational's walk breaks at the first prime past _TRIAL_BOUND,
+    # so the table must reach one.
+    primes = sieve_primes()
+    assert primes[-1] == 65537
+    assert primes[-2] <= factor._TRIAL_BOUND < primes[-1]
+    assert primes == _sieve(65537)
 
 
 def test_classify_prime():
@@ -162,6 +169,19 @@ def test_split_prime():
     assert pi.norm() == 13
     with pytest.raises(ValueError):
         split_prime(5)
+
+
+def test_split_prime_pairs_match_norm_oracle():
+    # Every split p < 10^4 and a few near 10^6: split_prime and its
+    # conjugate are the two canonical elements of norm p.
+    near_million = [p for p in _sieve(10**6 + 200)
+                    if p > 10**6 - 200 and p % 3 == 1]
+    assert len(near_million) >= 5
+    for p in [p for p in _sieve(10**4) if p % 3 == 1] + near_million:
+        pi, pibar = split_prime(p), _conj_split_prime(p)
+        assert pi != pibar, p
+        assert pibar == pi.conj().canonical_associate()[0], p
+        assert {pi, pibar} == set(_canonical_of_norm(p)), p
 
 
 def test_factor_e_examples():
@@ -292,7 +312,7 @@ class TestPairFormPrimes:
     def test_small_sieve_limit_falls_back(self, monkeypatch, s):
         # With primes only up to 50 sieved, most cofactors are settled by
         # is_prime or split by factor_rational instead of the sieve.
-        monkeypatch.setenv("EULAB_SIEVE_LIMIT", "50")
+        monkeypatch.setattr(factor, "_PAIR_SIEVE_BOUND", 50)
         rng = random.Random(50 + s)
         for size in (4, 12, 30):
             elements = tuple(sorted(rng.sample(range(1, 2001), size)))
@@ -412,7 +432,7 @@ class TestPairEPrimes:
     @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
     def test_small_sieve_limit_falls_back(self, monkeypatch, rho, ordered):
         # With primes only up to 50 sieved, most cofactors go to factor_e.
-        monkeypatch.setenv("EULAB_SIEVE_LIMIT", "50")
+        monkeypatch.setattr(factor, "_PAIR_SIEVE_BOUND", 50)
         rng = random.Random(f"pair-e-50:{rho}")
         for size in (4, 12, 25):
             self.check(eint_set(rng, size, 1000, avoid=(rho, ordered)),

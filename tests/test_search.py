@@ -52,13 +52,6 @@ class TestPairPrimeCache:
         assert cache.pair_indices == {
             ab: tuple(index[p] for p in ps) for ab, ps in naive.items()}
 
-    def test_ignores_sieve_limit(self, monkeypatch):
-        default = PairPrimeCache(100)
-        monkeypatch.setenv("EULAB_SIEVE_LIMIT", "2")
-        limited = PairPrimeCache(100)
-        assert limited.primes == default.primes
-        assert limited.pair_indices == default.pair_indices
-
     def test_indices_ignore_argument_order(self, cache60):
         assert cache60.indices(7, 3) == cache60.indices(3, 7)
 
