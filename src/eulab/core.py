@@ -326,11 +326,6 @@ class ResidueRing:
         k = u // self.d1
         return u - k * self.d1, (v - k * self.c) % self.d2
 
-    def position(self, x: EInt) -> tuple[int, int]:
-        """Rank of reduce(x) in enumeration order, as a comparable pair."""
-        r = self.reduce(x)
-        return r.a, r.b
-
     def representatives(self) -> Iterator[EInt]:
         for i in range(self.d1):
             for j in range(self.d2):
@@ -367,9 +362,6 @@ class ResidueRing:
         if not g.is_unit():
             raise ValueError(f"{x} is not invertible mod {self.modulus}")
         return self.reduce(s * g.conj())
-
-    def mul(self, x: EInt, y: EInt) -> EInt:
-        return self.reduce(x * y)
 
     def __repr__(self) -> str:
         return f"ResidueRing({self.modulus!r})"

@@ -17,16 +17,16 @@ and a node with fewer candidates than elements still needed is cut
 The pair table is line-sieved rather than factored pair by pair: in row
 a, a prime p divides a^2 + a*b + b^2 along the progressions b = a*r
 (mod p), r a root of x^2 + x + 1 mod p, or b = 0 (mod p) when p | a, as
-the quadratic sieve walks root progressions (Pomerance 1982).  Prime
-sets per pair are kept as tuples of dense indices into the sorted
-prime list.  For a search they become int bitmasks, unioned with | and
-counted with bit_count() as in bit-parallel clique search (San Segundo
-et al. 2011): primes shared by two or more pairs in range take one bit
-each, most frequent first, and a prime of a single pair is kept as a
-per-pair count, since it joins a union exactly when its pair is chosen.
-Workers are forked processes that split the first elements and share
-nothing but the read-only row table, so node counts do not depend on
-timing.
+the quadratic sieve walks root progressions (Pomerance 1982).  The
+table keeps each pair's primes as the sieve leaves them, one increasing
+list per pair in rows by first element.  For a search they become int
+bitmasks, unioned with | and counted with bit_count() as in
+bit-parallel clique search (San Segundo et al. 2011): primes shared by
+two or more pairs in range take one bit each, most frequent first, and
+a prime of a single pair is kept as a per-pair count, since it joins a
+union exactly when its pair is chosen.  Workers are forked processes
+that split the first elements and share nothing but the read-only row
+table, so node counts do not depend on timing.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import multiprocessing
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from eulab.factor import _roots_x2_x_1, sieve_primes
 
@@ -49,9 +49,9 @@ MAX_TABLE_ELEMENT = 2000
 class PairPrimeCache:
     """Prime sets of a^2 + a*b + b^2 for all 1 <= a < b <= max_element.
 
-    primes holds every rational prime that divides some pair value, in
-    increasing order; a prime's position is its dense index.  indices(a, b)
-    is the sorted tuple of indices for one pair.
+    rows[a - 1][b - a - 1] is the increasing list of the primes of
+    a^2 + a*b + b^2, so row a - 1 lists the pairs (a, b) for
+    b = a + 1..max_element in order.
 
     The table is line-sieved row by row.  In row a a prime p divides
     a^2 + a*b + b^2 exactly when b = 0 (mod p) if p | a, and otherwise when
@@ -70,12 +70,11 @@ class PairPrimeCache:
         primes = sieve_primes()
         roots = [(p, _roots_x2_x_1(p))
                  for p in primes[:bisect_right(primes, math.isqrt(3 * m * m))]]
-        # The prime lists of all pairs, in the order (1, 2), (1, 3), ...
-        table: list[list[int]] = []
+        # rows[a - 1][i] holds the primes of the pair (a, a + 1 + i)
+        self.rows: list[list[list[int]]] = []
         for a in range(1, m):
-            # Slot i of the row holds the pair (a, a + 1 + i).  Primes are
-            # appended in increasing order, and a prime cofactor exceeds
-            # every sieve prime, so each list comes out sorted.
+            # Primes are appended in increasing order, and a prime
+            # cofactor exceeds every sieve prime, so each list is sorted.
             n = m - a
             vals = [a * a + a * b + b * b for b in range(a + 1, m + 1)]
             row: list[list[int]] = [[] for _ in range(n)]
@@ -91,35 +90,7 @@ class PairPrimeCache:
             for v, ps in zip(vals, row):
                 if v > 1:
                     ps.append(v)
-            table += row
-        self.primes: tuple[int, ...] = tuple(
-            sorted(set(itertools.chain.from_iterable(table))))
-        index = {p: i for i, p in enumerate(self.primes)}.__getitem__
-        pairs = itertools.combinations(range(1, m + 1), 2)
-        self.pair_indices: dict[tuple[int, int], tuple[int, ...]] = {
-            ab: tuple(map(index, ps)) for ab, ps in zip(pairs, table)}
-
-    def _key(self, a: int, b: int) -> tuple[int, int]:
-        if a == b:
-            raise ValueError("pair needs two distinct elements")
-        if not (1 <= a <= self.max_element and 1 <= b <= self.max_element):
-            raise ValueError(f"elements must lie in 1..{self.max_element}")
-        return (a, b) if a < b else (b, a)
-
-    def indices(self, a: int, b: int) -> tuple[int, ...]:
-        return self.pair_indices[self._key(a, b)]
-
-    def omega_of_set(self, elements: Iterable[int]) -> int:
-        elems = sorted(set(elements))
-        if not elems:
-            raise ValueError("empty set")
-        if elems[0] < 1 or elems[-1] > self.max_element:
-            raise ValueError(f"elements must lie in 1..{self.max_element}")
-        out: set[int] = set()
-        for i, a in enumerate(elems):
-            for b in elems[i + 1:]:
-                out.update(self.pair_indices[(a, b)])
-        return len(out)
+            self.rows.append(row)
 
 
 @dataclass(frozen=True)
@@ -152,27 +123,26 @@ def _row_table(cache: PairPrimeCache, max_element: int,
     mask of the pair's primes that divide two or more pair values in
     that range, sc[a][b] the number of its primes that divide no other.
 
-    Masks index primes locally, most frequent first (ties by prime
-    index), so the primes most unions share take the low bits.  A prime
-    of a single pair value joins a union exactly when its pair is
-    chosen, so it needs no bit: it is counted with the pair."""
-    # rows[a - 1][b - a - 1] holds the prime indices of the pair (a, b)
-    rows = [[cache.pair_indices[(a, b)]
-             for b in range(a + 1, max_element + 1)]
-            for a in range(1, max_element)]
+    Masks number primes locally, most frequent first (ties by the
+    smaller prime), so the primes most unions share take the low bits.
+    A prime of a single pair value joins a union exactly when its pair
+    is chosen, so it needs no bit: it is counted with the pair."""
+    # rows[a - 1][b - a - 1] holds the primes of the pair (a, b)
+    rows = [row[:max_element - a]
+            for a, row in enumerate(cache.rows[:max_element - 1], 1)]
     freq = collections.Counter(itertools.chain.from_iterable(
         itertools.chain.from_iterable(rows)))
-    shared = sorted((i for i, n in freq.items() if n > 1),
-                    key=lambda i: (-freq[i], i))
-    bit = {i: j for j, i in enumerate(shared)}
+    shared = sorted((p for p, n in freq.items() if n > 1),
+                    key=lambda p: (-freq[p], p))
+    bit = {p: j for j, p in enumerate(shared)}
     pm = [[0] * (max_element + 1) for _ in range(max_element + 1)]
     sc = [[0] * (max_element + 1) for _ in range(max_element + 1)]
     for a, row in enumerate(rows, 1):
-        for b, idx in enumerate(row, a + 1):
+        for b, ps in enumerate(row, a + 1):
             mask = singles = 0
-            for i in idx:
-                if i in bit:
-                    mask |= 1 << bit[i]
+            for p in ps:
+                if p in bit:
+                    mask |= 1 << bit[p]
                 else:
                     singles += 1
             pm[a][b] = mask

@@ -357,8 +357,9 @@ def test_inverse_rejects_non_invertible(modulus, x):
 def test_positions_follow_enumeration_order():
     ring = ResidueRing(EInt(3, 1))
     reps = list(ring.representatives())
-    positions = [ring.position(r) for r in reps]
-    assert positions == sorted(positions)
+    pairs = [(r.a, r.b) for r in reps]
+    assert pairs == sorted(pairs)
+    assert all(ring.reduce(r) == r for r in reps)
 
 
 # ---------------------------------------------------------------- overflow

@@ -29,46 +29,35 @@ def cache400():
 
 
 class TestPairPrimeCache:
-    def test_prime_indexing_is_dense_and_increasing(self, cache60):
-        assert cache60.primes == tuple(sorted(set(cache60.primes)))
-        flat = {i for idx in cache60.pair_indices.values() for i in idx}
-        assert flat == set(range(len(cache60.primes)))
-
     def test_indices_match_direct_factorization(self, cache60):
         for a, b in itertools.combinations(range(1, 61), 2):
             v = a * a + a * b + b * b
-            expect = tuple(p for p, _ in factor_rational(v).factors)
-            got = tuple(cache60.primes[i] for i in cache60.indices(a, b))
-            assert got == expect
+            expect = [p for p, _ in factor_rational(v).factors]
+            assert cache60.rows[a - 1][b - a - 1] == expect
 
     @pytest.mark.parametrize("m", [*range(2, 61), 400])
     def test_matches_naive_oracle(self, m):
-        naive = {(a, b): pair_primes_naive(a, b)
-                 for a in range(1, m) for b in range(a + 1, m + 1)}
-        primes = tuple(sorted({p for ps in naive.values() for p in ps}))
-        index = {p: i for i, p in enumerate(primes)}
-        cache = PairPrimeCache(m)
-        assert cache.primes == primes
-        assert cache.pair_indices == {
-            ab: tuple(index[p] for p in ps) for ab, ps in naive.items()}
-
-    def test_indices_ignore_argument_order(self, cache60):
-        assert cache60.indices(7, 3) == cache60.indices(3, 7)
+        assert PairPrimeCache(m).rows == [
+            [list(pair_primes_naive(a, b)) for b in range(a + 1, m + 1)]
+            for a in range(1, m)]
 
     def test_omega_examples(self, cache60):
-        assert cache60.omega_of_set([1, 2, 3]) == 3
-        assert cache60.omega_of_set([1, 2, 4, 8]) == 4
-        assert cache60.omega_of_set([5]) == 0
+        # omega of a set from the row table: its masks ORed, plus the
+        # primes of a single pair value
+        pm, sc = _row_table(cache60, 60)
 
-    def test_validation(self, cache60):
-        with pytest.raises(ValueError):
-            cache60.indices(4, 4)
-        with pytest.raises(ValueError):
-            cache60.omega_of_set([0, 3])
-        with pytest.raises(ValueError):
-            cache60.omega_of_set([1, 61])
-        with pytest.raises(ValueError):
-            PairPrimeCache(MAX_TABLE_ELEMENT + 1)
+        def omega(s):
+            ab = list(itertools.combinations(s, 2))
+            mask = functools.reduce(operator.or_, (pm[a][b] for a, b in ab))
+            return mask.bit_count() + sum(sc[a][b] for a, b in ab)
+
+        assert omega([1, 2, 3]) == 3
+        assert omega([1, 2, 4, 8]) == 4
+
+    def test_validation(self):
+        for m in (1, MAX_TABLE_ELEMENT + 1):
+            with pytest.raises(ValueError):
+                PairPrimeCache(m)
 
 
 class TestRowTable:
