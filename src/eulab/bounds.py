@@ -83,7 +83,8 @@ def _is_prime_e(pi: EInt) -> bool:
 def _prime_power_units(ring: ResidueRing, pi: EInt) -> list[EInt]:
     """The reduced representatives of ring = E/(pi^k) for a prime pi, in
     enumeration order.  Such an r is a unit exactly when pi does not divide
-    it, which saves the Euclidean gcd of ring.reduced_representatives()."""
+    it, which saves a Euclidean gcd per residue (the test suite's
+    reduced_representatives oracle keeps that gcd)."""
     return [r for r in ring.representatives() if not divides(pi, r)]
 
 

@@ -331,17 +331,6 @@ class ResidueRing:
             for j in range(self.d2):
                 yield EInt(i, j)
 
-    def is_reduced_residue(self, x: EInt) -> bool:
-        """Whether x is invertible mod mu, i.e. gcd(x, mu) is a unit."""
-        if self.reduce(x).is_zero():
-            return self.modulus.is_unit()
-        return gcd(x, self.modulus).is_unit()
-
-    def reduced_representatives(self) -> Iterator[EInt]:
-        for r in self.representatives():
-            if self.is_reduced_residue(r):
-                yield r
-
     def inverse(self, x: EInt) -> EInt:
         """The reduced inverse of x mod mu.
 

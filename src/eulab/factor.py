@@ -7,7 +7,8 @@ cofactors is decided by a Miller-Rabin base set that is deterministic far
 beyond 64-bit inputs.
 Factorization in E rides on the rational factorization of the norm: 3
 ramifies onto (2,1), primes 2 mod 3 stay prime, and primes 1 mod 3 split
-into a conjugate pair found via a cube root of unity.
+into a conjugate pair, gcd(p, w - omega) for the two roots w of
+x^2 + x + 1 mod p.
 
 The primes of a product of quadratic-form values a^2 +- a*b + b^2 over the
 pairs of a set are sieved along root progressions, as the quadratic sieve
@@ -27,9 +28,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from typing import Sequence
 
-from eulab.core import (
-    COORD_BOUND, EInt, LAMBDA, ONE, divides, exact_div, gcd,
-)
+from eulab.core import COORD_BOUND, EInt, divides, exact_div, gcd
 
 INT64_MAX = 2**63 - 1
 
@@ -76,6 +75,21 @@ def _roots_x2_x_1(p: int) -> tuple[int, ...]:
         r = pow(g, (p - 1) // 3, p)
         if r != 1:
             return (r, r * r % p)
+
+
+@lru_cache(maxsize=4096)
+def _primes_above(p: int) -> tuple[tuple[EInt, int], ...]:
+    """The canonical primes above the prime p = 3 or p = 1 (mod 3) as
+    pairs (gcd(p, w - omega), w), one per root w of x^2 + x + 1 mod p in
+    the order of _roots_x2_x_1(p): w is the residue of omega modulo that
+    prime.  For p = 1 mod 3 the second root w^2 = -1 - w has
+    w^2 - omega = -conj(w - omega) mod p, so its prime is the conjugate of
+    the first."""
+    roots = _roots_x2_x_1(p)
+    pi = gcd(EInt(p, 0), EInt(roots[0], -1))
+    if pi.norm() != p:
+        raise AssertionError(f"norm of {pi} above {p} is {pi.norm()}")
+    return tuple(zip((pi, pi.conj().canonical_associate()[0]), roots))
 
 
 def prime_pi(x: float) -> int:
@@ -325,19 +339,20 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     OverflowError or ValueError of EInt and factor_e.
 
     The pair values are sieved in E one rational prime p at a time.  Each
-    prime pi above p gives a ring map h onto E/(pi): omega goes to
-    -u/v mod p for pi = u + v*omega of norm p (p = 3 or p = 1 mod 3), and
-    an inert p keeps both coordinates mod p.  As pi | a + rho*b exactly
-    when h(a) = -h(rho)*h(b), the elements are bucketed by h, each class c
-    on the b side is matched with the class -h(rho)*c on the a side, and
-    every hit divides p out of its pair's norm completely.  The primes
-    come from sieve_primes(), up to isqrt of the largest norm but no
-    further than _PAIR_SIEVE_BOUND or the number of pairs.  A norm
-    cofactor m > 1 left over is prime when the sieved primes reach
-    isqrt(m): then it is 3 (only when 3 was not sieved) or a split prime
-    q, and a residue test mod q picks the conjugate that divides the
-    value.  Any other cofactor sends its value to factor_e.  No EInt is
-    built per pair.
+    prime pi above p gives a ring map h onto E/(pi): for p = 3 or p = 1
+    mod 3, omega goes to the root w of x^2 + x + 1 mod p that names
+    pi = gcd(p, w - omega), and an inert p keeps both coordinates mod p.
+    As pi | a + rho*b exactly when h(a) = -h(rho)*h(b), the elements are
+    bucketed by h, each class c on the b side is matched with the class
+    -h(rho)*c on the a side, and every hit divides p out of its pair's
+    norm completely.  The primes come from sieve_primes(), up to isqrt of
+    the largest norm but no further than _PAIR_SIEVE_BOUND or the number
+    of pairs.  A norm cofactor m > 1 left over is prime when the sieved
+    primes reach isqrt(m): then it is 3 (only when 3 was not sieved) or a
+    split prime q, and a residue test mod q against the first root of
+    x^2 + x + 1 picks the prime above q that divides the value; each prime
+    so picked is named once, after the pairs.  Any other cofactor sends
+    its value to factor_e.  No EInt is built per pair.
     """
     n = len(elements)
     if n < 2:
@@ -405,13 +420,9 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
 
             maps = [(EInt(p, 0), keys, target)]
         else:
-            maps = []
-            for pi in (LAMBDA,) if p == 3 else (split_prime(p),
-                                                _conj_split_prime(p)):
-                w = -pi.a * pow(pi.b, -1, p) % p
-                mult = -(r1 + r2 * w) % p
-                maps.append((pi, [(x + y * w) % p for x, y in coords],
-                             lambda c, mult=mult: mult * c % p))
+            maps = [(pi, [(x + y * w) % p for x, y in coords],
+                     lambda c, mult=-(r1 + r2 * w) % p: mult * c % p)
+                    for pi, w in _primes_above(p)]
         hits: set[int] = set()
         for pi, keys, target in maps:
             classes: dict[int, list[int]] = {}
@@ -436,24 +447,19 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
 
     # A cofactor below settled_sq has no prime factor up to its root.
     settled_sq = (settled + 1) ** 2
-    omega_mod: dict[int, int] = {}
-    split: set[int] = set()   # q for split_prime(q), -q for its conjugate
+    # (q, k) for the k-th prime of _primes_above(q): k = 0 when the first
+    # root w of x^2 + x + 1 mod q has x + y*w = 0 mod q, 1 otherwise
+    named: set[tuple[int, bool]] = set()
     for (i, j), m in itertools.compress(zip(pairs(range(n), 2), norms),
                                         [m > 1 for m in norms]):
         x = coords[i][0] + twisted[j][0]
         y = coords[i][1] + twisted[j][1]
         if m >= settled_sq:
             found.update(q for q, _ in factor_e(EInt(x, y)).factors)
-        elif m == 3:
-            found.add(LAMBDA)
         else:
-            w = omega_mod.get(m)
-            if w is None:
-                pi = split_prime(m)
-                w = omega_mod[m] = -pi.a * pow(pi.b, -1, m) % m
-            split.add(m if (x + y * w) % m == 0 else -m)
-    found.update(split_prime(q) if q > 0 else _conj_split_prime(-q)
-                 for q in split)
+            w = _primes_above(m)[0][1]
+            named.add((m, (x + y * w) % m != 0))
+    found.update(_primes_above(q)[k][0] for q, k in named)
     return tuple(sorted(found, key=lambda x: (x.norm(), x.a, x.b))), None
 
 
@@ -465,7 +471,6 @@ def classify_prime(p: int) -> str:
     return "split" if p % 3 == 1 else "inert"
 
 
-@lru_cache(maxsize=4096)
 def split_prime(p: int) -> EInt:
     """The canonical prime above a rational prime p = 1 mod 3.
 
@@ -476,16 +481,7 @@ def split_prime(p: int) -> EInt:
     """
     if classify_prime(p) != "split":
         raise ValueError(f"{p} does not split (p mod 3 != 1)")
-    pi = gcd(EInt(p, 0), EInt(_roots_x2_x_1(p)[0], -1))
-    if pi.norm() != p:
-        raise AssertionError(f"norm of split prime over {p} is {pi.norm()}")
-    return pi
-
-
-@lru_cache(maxsize=4096)
-def _conj_split_prime(p: int) -> EInt:
-    """The canonical prime conjugate to split_prime(p)."""
-    return split_prime(p).conj().canonical_associate()[0]
+    return _primes_above(p)[0][0]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -493,8 +489,9 @@ def factor_e(x: EInt) -> EFactorization:
     """Factor x into canonical primes times a unit.
 
     Route through the rational factorization of the norm: each rational
-    prime contributes its canonical prime(s) above it, with exponents read
-    off by exact division, and whatever is left over must be a unit.
+    prime p is divided out as its canonical primes above it, p itself when
+    p = 2 mod 3, each as often as it divides, and whatever is left over
+    must be a unit.
     """
     if x.is_zero():
         raise ValueError("cannot factor zero")
@@ -503,31 +500,16 @@ def factor_e(x: EInt) -> EFactorization:
         raise ValueError("norm exceeds the 64-bit rational factorization range")
     out: list[tuple[EInt, int]] = []
     rem = x
-    for p, e in factor_rational(n).factors:
-        if p == 3:
-            for _ in range(e):
-                rem = exact_div(rem, LAMBDA)
-            out.append((LAMBDA, e))
-        elif p % 3 == 2:
-            if e % 2:
-                raise AssertionError(f"odd exponent of inert prime {p} in a norm")
-            pi = EInt(p, 0)
-            for _ in range(e // 2):
-                rem = exact_div(rem, pi)
-            out.append((pi, e // 2))
-        else:
-            pi = split_prime(p)
+    for p, _ in factor_rational(n).factors:
+        above = ([EInt(p, 0)] if p % 3 == 2
+                 else [pi for pi, _ in _primes_above(p)])
+        for pi in above:
             k = 0
-            while k < e and divides(pi, rem):
+            while divides(pi, rem):
                 rem = exact_div(rem, pi)
                 k += 1
             if k:
                 out.append((pi, k))
-            if k < e:
-                pibar = _conj_split_prime(p)
-                for _ in range(e - k):
-                    rem = exact_div(rem, pibar)
-                out.append((pibar, e - k))
     if not rem.is_unit():
         raise AssertionError(f"non-unit remainder {rem} after factoring {x}")
     out.sort(key=lambda pe: (pe[0].norm(), pe[0].a, pe[0].b))

@@ -11,7 +11,7 @@ import functools
 import math
 from itertools import combinations
 
-from eulab.core import EInt, divides
+from eulab.core import EInt, ResidueRing, divides, gcd
 
 
 def enumerate_divisors(x: EInt) -> list[EInt]:
@@ -30,6 +30,20 @@ def enumerate_divisors(x: EInt) -> list[EInt]:
             if nd <= n and n % nd == 0 and divides(d, x):
                 out.append(d)
     return out
+
+
+def is_reduced_residue(ring: ResidueRing, x: EInt) -> bool:
+    """Whether x is invertible mod ring.modulus, i.e. gcd(x, modulus) is
+    a unit."""
+    if ring.reduce(x).is_zero():
+        return ring.modulus.is_unit()
+    return gcd(x, ring.modulus).is_unit()
+
+
+def reduced_representatives(ring: ResidueRing) -> list[EInt]:
+    """The invertible representatives of ring, in enumeration order, by
+    the Euclidean gcd of each with the modulus."""
+    return [r for r in ring.representatives() if is_reduced_residue(ring, r)]
 
 
 def gcd_by_factoring(x: EInt, y: EInt):

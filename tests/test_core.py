@@ -15,6 +15,7 @@ from eulab.core import (
     divides, exact_div, gcd, unit_inverse, valuation,
 )
 from eulab.core import _xgcd
+from oracles import reduced_representatives
 
 coords = st.integers(min_value=-200, max_value=200)
 eints = st.builds(EInt, coords, coords)
@@ -274,16 +275,16 @@ def test_reduce_is_idempotent_ring_map(mu, x, y):
 def test_reduced_residue_count_is_multiplicative_like():
     # E/(2+omega) is the field with 3 elements: two reduced residues.
     ring = ResidueRing(EInt(2, 1))
-    assert sum(1 for _ in ring.reduced_representatives()) == 2
+    assert len(reduced_representatives(ring)) == 2
     # mod (2,0)^2 = (4,0): norm 16, reduced residues 16 - 4 = 12.
     ring = ResidueRing(EInt(4, 0))
-    assert sum(1 for _ in ring.reduced_representatives()) == 12
+    assert len(reduced_representatives(ring)) == 12
 
 
 def test_mod_inverse():
     ring = ResidueRing(EInt(3, 1))
     one = ring.reduce(ONE)
-    for r in ring.reduced_representatives():
+    for r in reduced_representatives(ring):
         inv = ring.inverse(r)
         assert ring.reduce(r * inv) == one
     with pytest.raises(ValueError):
@@ -307,7 +308,7 @@ PI31 = EInt(3, 1)  # split prime of norm 7
 def test_inverse_matches_xgcd_oracle(modulus):
     ring = ResidueRing(modulus)
     one = ring.reduce(ONE)
-    reduced = list(ring.reduced_representatives())
+    reduced = reduced_representatives(ring)
     assert reduced
     for r in reduced:
         inv = ring.inverse(r)

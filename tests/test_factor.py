@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulab import factor
-from eulab.core import EInt, LAMBDA, OMEGA, ONE, UNITS, ZERO, gcd
+from eulab.core import (
+    EInt, LAMBDA, OMEGA, ONE, UNITS, ZERO, divides, gcd, valuation,
+)
 from eulab.factor import (
-    _conj_split_prime, _roots_x2_x_1, _sieve, classify_prime, factor_e,
-    factor_rational, is_prime, omega_e, omega_n, pair_e_primes,
+    INT64_MAX, _primes_above, _roots_x2_x_1, _sieve, classify_prime,
+    factor_e, factor_rational, is_prime, omega_e, omega_n, pair_e_primes,
     pair_form_primes, prime_pi, sieve_primes, split_prime, tau_e,
 )
 from oracles import (
-    _canonical_of_norm, e_pair_primes_naive, enumerate_divisors,
-    gcd_by_factoring, pair_primes_naive,
+    _canonical_of_norm, _e_value_primes, e_pair_primes_naive,
+    enumerate_divisors, gcd_by_factoring, pair_primes_naive,
 )
 
 
@@ -172,16 +174,25 @@ def test_split_prime():
 
 
 def test_split_prime_pairs_match_norm_oracle():
-    # Every split p < 10^4 and a few near 10^6: split_prime and its
-    # conjugate are the two canonical elements of norm p.
+    # 3, every split p < 10^4 and a few near 10^6: _primes_above(p) lists
+    # the canonical elements of norm p, one per root w of x^2 + x + 1 mod
+    # p, and each divides w - omega, so it maps omega to w.  split_prime
+    # is the first of them.
     near_million = [p for p in _sieve(10**6 + 200)
                     if p > 10**6 - 200 and p % 3 == 1]
     assert len(near_million) >= 5
-    for p in [p for p in _sieve(10**4) if p % 3 == 1] + near_million:
-        pi, pibar = split_prime(p), _conj_split_prime(p)
-        assert pi != pibar, p
-        assert pibar == pi.conj().canonical_associate()[0], p
-        assert {pi, pibar} == set(_canonical_of_norm(p)), p
+    for p in [3] + [p for p in _sieve(10**4) if p % 3 == 1] + near_million:
+        above = _primes_above(p)
+        assert tuple(w for _, w in above) == _roots_x2_x_1(p), p
+        assert len(above) == len(_canonical_of_norm(p)), p
+        assert {pi for pi, _ in above} == set(_canonical_of_norm(p)), p
+        for pi, w in above:
+            assert divides(pi, EInt(w, -1)), (p, w)
+        if p != 3:
+            assert split_prime(p) == above[0][0], p
+    for p in (3, 5):
+        with pytest.raises(ValueError):
+            split_prime(p)
 
 
 def test_factor_e_examples():
@@ -206,6 +217,38 @@ def test_factor_e_sorted_and_canonical():
     for p, e in f.factors:
         assert p.is_canonical()
         assert e >= 1
+
+
+def test_factor_e_mixed_conjugate_powers():
+    # u * pi^a * pibar^b * lambda^c * 2^d * 5^e over the two primes above
+    # 7, 13 and a split prime near 10^6: factor_e divides out each prime
+    # above p while it divides, whatever the exponents of the conjugates,
+    # on coordinates far past the +-400 of the roundtrip property.
+    big = next(p for p in range(10**6, 10**6 + 200)
+               if p % 3 == 1 and is_prime(p))
+    rng = random.Random(20261019)
+    two, five = EInt(2, 0), EInt(5, 0)
+    checked = widest = 0
+    for p in (7, 13, big):
+        pi, pibar = (q for q, _ in _primes_above(p))
+        for a, b in itertools.product(range(5), repeat=2):
+            c, d, e = rng.randrange(4), rng.randrange(3), rng.randrange(3)
+            if p ** (a + b) * 3**c * 4**d * 25**e > INT64_MAX:
+                c = d = e = 0
+                if p ** (a + b) > INT64_MAX:
+                    continue
+            x = (UNITS[rng.randrange(6)] * pi**a * pibar**b * LAMBDA**c
+                 * two**d * five**e)
+            f = factor_e(x)
+            want = {pi: a, pibar: b, LAMBDA: c, two: d, five: e}
+            assert dict(f.factors) == {q: k for q, k in want.items() if k}, x
+            for q, k in f.factors:
+                assert valuation(q, x) == k, (x, q)
+            assert {q for q, _ in f.factors} == _e_value_primes(x), x
+            assert f.value() == x
+            checked += 1
+            widest = max(widest, abs(x.a), abs(x.b))
+    assert checked >= 55 and widest > 10**6
 
 
 def test_factor_e_errors():
