@@ -13,11 +13,12 @@ Color assignments are defined by a greedy pass over ring representatives in
 enumeration order.  Splitting a set only needs the colors of a handful of
 residues, so those are evaluated lazily: a residue's greedy color depends
 only on neighbors that enumerate earlier, and that recursion is replayed
-on demand.  The lazy walks run on the raw coordinate pairs of reduced
-residues, which are also their enumeration rank: products are reduced
-with ResidueRing.reduce_pair and memoized by pair, so no EInt is built
-per residue.  The eager and lazy evaluations agree by construction and the
-test suite checks them against each other on whole rings.
+on demand.  The eager 3-coloring pass and the lazy walks run on the raw
+coordinate pairs of reduced residues, which are also their enumeration
+rank: products are reduced with ResidueRing.reduce_pair and colors are
+kept by pair, so no EInt is built per residue.  The eager and lazy
+evaluations agree by construction and the test suite checks them against
+each other on whole rings.
 """
 
 from __future__ import annotations
@@ -108,17 +109,32 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
     return Coloring(ring, pi, 2, assignment)
 
 
-def _lazy_uv_group(ring: ResidueRing, r: EInt,
+def _lazy_uv_group(ring: ResidueRing, key: tuple[int, int],
                    memo: dict[tuple[int, int], int]) -> int:
-    """uv_coloring's group of the reduced residue r: 0 when r enumerates
-    before its negative, 1 after.  Reduced residues enumerate in (a, b)
-    order, so their coordinates are their rank; the memo is keyed on them
-    and -r is reduced on raw coordinates."""
-    key = r.a, r.b
+    """uv_coloring's group of the reduced residue with coordinate pair
+    key: 0 when it enumerates before its negative, 1 after.  Reduced
+    residues enumerate in (a, b) order, so a pair is its rank; the memo is
+    keyed on pairs and the negative is reduced on raw coordinates."""
     got = memo.get(key)
     if got is None:
-        got = memo[key] = 0 if key < ring.reduce_pair(-r.a, -r.b) else 1
+        a, b = key
+        got = memo[key] = 0 if key < ring.reduce_pair(-a, -b) else 1
     return got
+
+
+def _three_setup(pi: EInt, rho0: EInt, delta: int | None = None,
+                 ) -> tuple[int, ResidueRing, tuple[int, int], tuple[int, int]]:
+    """The ring of the 3-group split for rho0 coprime to pi: delta =
+    v(1 + rho0) (unless the caller already knows it), the ring mod
+    pi^(delta+1), and -rho0 and -rho0^(-1) there as reduced coordinate
+    pairs."""
+    if delta is None:
+        delta = valuation(pi, ONE + rho0)
+    ring = ResidueRing(pi ** (delta + 1) if delta else pi)
+    inv = ring.inverse(rho0)
+    reduce_pair = ring.reduce_pair
+    return (delta, ring, reduce_pair(-rho0.a, -rho0.b),
+            reduce_pair(-inv.a, -inv.b))
 
 
 def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
@@ -130,6 +146,11 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
     so the separating edge is respected from whichever side is colored
     second; a residue never collides with itself because that would force
     pi^(delta+1) | 1 + rho0.
+
+    The pass runs on the coordinate pairs (i, j) of the ring's box: a pair
+    is skipped when pi divides it (the conj-product test of core.divides),
+    neighbors are reduced with ring.reduce_pair, and EInt keys are built
+    once, for the finished assignment.
     """
     if not _is_prime_e(pi):
         raise ValueError("coloring needs a non-unit prime")
@@ -137,35 +158,45 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
         raise ValueError("rho0 = -1 has no finite delta")
     if divides(pi, rho0):
         raise ValueError("rho0 must be coprime to the prime")
-    delta = valuation(pi, ONE + rho0)
-    ring = ResidueRing(pi ** (delta + 1))
-    neg = ring.reduce(-rho0)
-    neg_inv = ring.reduce(-ring.inverse(rho0))
-    assignment: dict[EInt, int] = {}
-    reduce = ring.reduce
-    for r in _prime_power_units(ring, pi):
-        g1 = assignment.get(reduce(neg * r))
-        g2 = assignment.get(reduce(neg_inv * r))
-        c = 0
-        while c == g1 or c == g2:
-            c += 1
-        assignment[r] = c
+    delta, ring, (na, nb), (ia, ib) = _three_setup(pi, rho0)
+    reduce_pair = ring.reduce_pair
+    pa, pb = pi.a, pi.b
+    n = pa * pa - pa * pb + pb * pb
+    colors: dict[tuple[int, int], int] = {}
+    get = colors.get
+    d2 = ring.d2
+    for i in range(ring.d1):
+        for j in range(d2):
+            # pi | i + j w: both coordinates of (i + j w) * conj(pi) are
+            # multiples of N(pi)
+            if (i * pa - i * pb + j * pb) % n == 0 and \
+                    (j * pa - i * pb) % n == 0:
+                continue
+            # (i + j w)(ma + mb w) with w^2 = -1 - w
+            g1 = get(reduce_pair(i * na - j * nb, i * nb + na * j - j * nb))
+            g2 = get(reduce_pair(i * ia - j * ib, i * ib + ia * j - j * ib))
+            c = 0
+            while c == g1 or c == g2:
+                c += 1
+            colors[i, j] = c
+    assignment = {EInt(a, b): c for (a, b), c in colors.items()}
     return Coloring(ring, pi, 3, assignment, delta=delta)
 
 
-def _three_group(ring: ResidueRing, neg: EInt, neg_inv: EInt,
-                 key: tuple[int, int], memo: dict[tuple[int, int], int],
-                 ) -> int:
+def _three_group(ring: ResidueRing, neg: tuple[int, int],
+                 neg_inv: tuple[int, int], key: tuple[int, int],
+                 memo: dict[tuple[int, int], int]) -> int:
     """Greedy color of the reduced residue with coordinate pair key,
     replaying only the earlier-enumerated dependency chain; matches
     three_coloring exactly.  Reduced residues enumerate in (a, b) order,
     so a pair is its rank; the walk and the memo stay on such pairs, each
-    product with neg or neg_inv reduced by ring.reduce_pair."""
+    product with the multiplier pairs neg and neg_inv reduced by
+    ring.reduce_pair."""
     got = memo.get(key)
     if got is not None:
         return got
     reduce_pair = ring.reduce_pair
-    mults = (neg.a, neg.b), (neg_inv.a, neg_inv.b)
+    mults = neg, neg_inv
     stack = [key]
     while stack:
         cur = stack[-1]
@@ -286,23 +317,34 @@ def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
     go anywhere; group 0 by convention.
     """
     elements = _sorted_set(elements)
-    gamma = valuation(pi, rho)
-    rho0 = exact_div(rho, pi ** gamma) if gamma else rho
-    if rho0 == MINUS_ONE:
-        raise ValueError("-rho is a power of the prime; use valuation_split")
-    delta = valuation(pi, ONE + rho0)
-    ring = ResidueRing(pi ** (delta + 1))
-    neg = ring.reduce(-rho0)
-    neg_inv = ring.reduce(-ring.inverse(rho0))
+    # pi | x forces N(pi) | N(x), so a norm that N(pi) does not divide
+    # proves a valuation 0 without dividing; a unit or zero pi goes on
+    # to valuation, which rejects it
+    npi = pi.norm()
+    if npi > 1 and rho.norm() % npi and (ONE + rho).norm() % npi:
+        rho0 = rho
+        delta: int | None = 0
+    else:
+        gamma = valuation(pi, rho)
+        rho0 = exact_div(rho, pi ** gamma) if gamma else rho
+        if rho0 == MINUS_ONE:
+            raise ValueError(
+                "-rho is a power of the prime; use valuation_split")
+        delta = None
+    _, ring, neg, neg_inv = _three_setup(pi, rho0, delta)
+    reduce_pair = ring.reduce_pair
     memo: dict[tuple[int, int], int] = {}
     buckets: list[list[EInt]] = [[], [], []]
     for a in elements:
         if a.is_zero():
             buckets[0].append(a)
             continue
-        v = valuation(pi, a)
-        a0 = exact_div(a, pi ** v) if v else a
-        key = ring.reduce_pair(a0.a, a0.b)
+        if a.norm() % npi:
+            a0 = a
+        else:
+            v = valuation(pi, a)
+            a0 = exact_div(a, pi ** v) if v else a
+        key = reduce_pair(a0.a, a0.b)
         buckets[_three_group(ring, neg, neg_inv, key, memo)].append(a)
     kept = _keep_largest(buckets)
     record = SplitRecord(pi, "lemma2", tuple(len(b) for b in buckets), kept)
@@ -340,8 +382,10 @@ def _uv_split(elements: Sequence[EInt], pi: EInt,
     memo: dict[tuple[int, int], int] = {}
     buckets: list[list[EInt]] = [[], []]
     for a in elements:
-        a0 = exact_div(a, pi ** valuation(pi, a))
-        buckets[_lazy_uv_group(ring, ring.reduce(a0), memo)].append(a)
+        v = valuation(pi, a)
+        a0 = exact_div(a, pi ** v) if v else a
+        key = ring.reduce_pair(a0.a, a0.b)
+        buckets[_lazy_uv_group(ring, key, memo)].append(a)
     kept = _keep_largest(buckets)
     record = SplitRecord(pi, "uv", tuple(len(b) for b in buckets), kept)
     return tuple(buckets[kept]), record

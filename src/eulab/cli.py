@@ -40,6 +40,8 @@ from eulab.search import PairPrimeCache, check_search, run_search
 
 VERIFY_TOKENS = tuple(t.replace("_", "-") for t in THEOREMS)
 _VOLATILE_KEYS = ("seconds", "nodes_visited")
+# how each volatile key starts its member in compact JSON
+_VOLATILE_MARKS = tuple(f'"{k}":' for k in _VOLATILE_KEYS)
 
 RHO_ONE = EInt(1, 0)
 
@@ -256,9 +258,19 @@ def _null_volatile(obj):
     return obj
 
 
+def _canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def output_digest(out: dict) -> str:
-    canon = json.dumps(_null_volatile(out), sort_keys=True,
-                       separators=(",", ":"))
+    """sha256 of the canonical JSON of out with the volatile keys nulled
+    at any depth.  In compact JSON only a key is followed by ':', so text
+    without '"seconds":' or '"nodes_visited":' has no volatile key and is
+    hashed as encoded; otherwise out is copied with them nulled first (a
+    false hit, such as an escaped quote in a key, only takes that path)."""
+    canon = _canonical_json(out)
+    if any(mark in canon for mark in _VOLATILE_MARKS):
+        canon = _canonical_json(_null_volatile(out))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

@@ -11,7 +11,7 @@ import functools
 import math
 from itertools import combinations
 
-from eulab.core import EInt, ResidueRing, divides, gcd
+from eulab.core import EInt, ResidueRing, divides, gcd, valuation
 
 
 def enumerate_divisors(x: EInt) -> list[EInt]:
@@ -44,6 +44,30 @@ def reduced_representatives(ring: ResidueRing) -> list[EInt]:
     """The invertible representatives of ring, in enumeration order, by
     the Euclidean gcd of each with the modulus."""
     return [r for r in ring.representatives() if is_reduced_residue(ring, r)]
+
+
+def three_coloring_greedy(pi: EInt, rho0: EInt):
+    """(delta, modulus, assignment) of the greedy 3-coloring mod
+    pi^(delta+1), delta = v(1 + rho0), on EInts: each reduced
+    representative in enumeration order takes the least group not used by
+    -rho0*r or -rho0^(-1)*r.  The inverse is found by scanning the ring."""
+    one = EInt(1, 0)
+    delta = valuation(pi, one + rho0)
+    ring = ResidueRing(pi ** (delta + 1))
+    reduce = ring.reduce
+    units = reduced_representatives(ring)
+    inverse = next(s for s in units if reduce(rho0 * s) == reduce(one))
+    neg = reduce(-rho0)
+    neg_inv = reduce(-inverse)
+    assignment: dict[EInt, int] = {}
+    for r in units:
+        g1 = assignment.get(reduce(neg * r))
+        g2 = assignment.get(reduce(neg_inv * r))
+        c = 0
+        while c == g1 or c == g2:
+            c += 1
+        assignment[r] = c
+    return delta, ring.modulus, assignment
 
 
 def gcd_by_factoring(x: EInt, y: EInt):

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from eulab.core import EInt, LAMBDA, ONE, OMEGA, ResidueRing, ZERO, divides, valuation
+from eulab.core import (
+    EInt, LAMBDA, ONE, OMEGA, ResidueRing, UNITS, ZERO, divides, valuation,
+)
 from eulab.bounds import (
     BoundReport, SplitRecord, ZeroFactorError, c_constants, c_exponent,
     coset_split, phi, random_eint_set, random_int_set, run_trials,
@@ -13,7 +15,10 @@ from eulab.bounds import (
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
     _lazy_uv_group, _prime_power_units, _three_group,
 )
-from oracles import reduced_representatives
+from oracles import (
+    _canonical_of_norm, _trial_division_primes, reduced_representatives,
+    three_coloring_greedy,
+)
 
 MINUS_ONE = EInt(-1, 0)
 
@@ -41,7 +46,8 @@ class TestUvColoring:
         col = uv_coloring(pi, 1)
         memo = {}
         for r in reduced_representatives(col.ring):
-            assert _lazy_uv_group(col.ring, r, memo) == col.assignment[r]
+            assert _lazy_uv_group(col.ring, (r.a, r.b), memo) == \
+                col.assignment[r]
 
     def test_rejects_even_norm_and_units(self):
         with pytest.raises(ValueError):
@@ -69,6 +75,36 @@ def test_colorings_reject_non_primes():
             uv_coloring(x)
         with pytest.raises(ValueError):
             three_coloring(x, OMEGA)
+
+
+def _canonical_primes(norm_bound):
+    """Canonical primes of E with norm up to norm_bound: norm p for a
+    rational prime p other than 2 mod 3, norm q^2 for q = 2 mod 3."""
+    out = []
+    for n in range(2, norm_bound + 1):
+        (p, *rest) = _trial_division_primes(n)
+        if rest:
+            continue
+        if (n == p and p % 3 != 2) or (n == p * p and p % 3 == 2):
+            out.extend(_canonical_of_norm(n))
+    return out
+
+
+def _oracle_cases(norm_bound=150, ring_bound=3000):
+    """(pi, rho0, delta) for every canonical prime of norm up to
+    norm_bound: rho0 = omega gives delta 0 (1 + omega is a unit), and
+    rho0 = -1 + u*pi^delta gives delta = 1, 2 while pi^(delta+1) has at
+    most ring_bound residues."""
+    cases = []
+    for index, pi in enumerate(_canonical_primes(norm_bound)):
+        rho0s = [(OMEGA, 0)]
+        for delta in (1, 2):
+            if pi.norm() ** (delta + 1) <= ring_bound:
+                rho0s.append(
+                    (UNITS[(index + delta) % 6] * pi ** delta - ONE, delta))
+        cases += [pytest.param(pi, rho0, delta, id=f"{pi}:{rho0}")
+                  for rho0, delta in rho0s]
+    return cases
 
 
 class TestThreeColoring:
@@ -100,10 +136,19 @@ class TestThreeColoring:
         ring = col.ring
         neg = ring.reduce(-rho0)
         neg_inv = ring.reduce(-ring.inverse(rho0))
+        mults = (neg.a, neg.b), (neg_inv.a, neg_inv.b)
         memo = {}
         for r in reduced_representatives(ring):
-            assert _three_group(ring, neg, neg_inv, (r.a, r.b), memo) == \
+            assert _three_group(ring, *mults, (r.a, r.b), memo) == \
                 col.assignment[r]
+
+    @pytest.mark.parametrize("pi,rho0,delta", _oracle_cases())
+    def test_matches_greedy_oracle(self, pi, rho0, delta):
+        col = three_coloring(pi, rho0)
+        want_delta, modulus, assignment = three_coloring_greedy(pi, rho0)
+        assert col.delta == want_delta == delta
+        assert col.ring.modulus == modulus
+        assert list(col.assignment.items()) == list(assignment.items())
 
     def test_rejects_bad_rho0(self):
         with pytest.raises(ValueError):

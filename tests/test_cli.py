@@ -5,6 +5,7 @@ runs the module as a subprocess to cover the real entry point.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -12,6 +13,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulab import bounds, cli
 from eulab.bounds import verify_t1
@@ -637,6 +640,76 @@ class TestReproducibility:
         assert cli.output_digest(a) == cli.output_digest(b)
         c = dict(a, minimum=4)
         assert cli.output_digest(a) != cli.output_digest(c)
+
+
+def reference_digest(out):
+    """output_digest by its definition: copy out with every volatile key
+    nulled at any depth, then hash the canonical JSON."""
+    def null(obj):
+        if isinstance(obj, dict):
+            return {k: None if k in ("seconds", "nodes_visited") else null(v)
+                    for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [null(v) for v in obj]
+        return obj
+
+    canon = json.dumps(null(out), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+# keys and strings that look like volatile members without being one
+_KEYS = st.sampled_from(["seconds", "nodes_visited", "minimum", 'a"seconds',
+                         "seconds:", 'nodes_visited"']) | st.text(max_size=6)
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False)
+           | st.sampled_from(['"seconds":', "nodes_visited", 'x":'])
+           | st.text(max_size=8))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24)
+
+
+def _subcommand_argv(subcommand, tmp_path):
+    """One small real invocation of each subcommand."""
+    if subcommand == "refine":
+        return ["refine", "--set",
+                write_set(tmp_path, "e.txt", ["1,0", "0,1", "2,0", "3,-1",
+                                              "5,2", "7,3"]),
+                "--rho", "2,1"]
+    if subcommand == "polyprod":
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"n": 3, "r": [1, 1, 1], "m": [2, 1]}))
+        values = write_set(tmp_path, "a.txt", ["1", "2", "3", "4", "5"])
+        return ["polyprod", "--poly", str(poly), "--set-a", values,
+                "--set-b", values, "--check-independence"]
+    return {
+        "factor": ["factor", "--e", "-84,-420"],
+        "omega-e": ["omega-e", "--e", "12,0"],
+        "tau": ["tau", "--e", "2,1"],
+        "crho": ["crho", "--rho", "1,2"],
+        "verify": ["verify", "t2", "--rho", "2,1", "--trials", "2",
+                   "--size", "8", "--range", "30", "--seed", "3"],
+        "search": ["search", "--k", "3", "--max", "12"],
+    }[subcommand]
+
+
+class TestDigest:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.dictionaries(_KEYS, _JSON, max_size=5))
+    def test_matches_recursive_nulling(self, out):
+        assert cli.output_digest(out) == reference_digest(out)
+
+    @pytest.mark.parametrize("subcommand", list(cli._HANDLERS))
+    def test_real_output_matches_recursive_nulling(self, subcommand,
+                                                    tmp_path, capsys):
+        code, out, err = run_cli(_subcommand_argv(subcommand, tmp_path),
+                                 capsys)
+        assert code in (0, 1)
+        obj = json.loads(out)
+        assert last_manifest(err)["output_digest"] == reference_digest(obj)
+        assert cli.output_digest(obj) == reference_digest(obj)
 
 
 class TestSubprocess:
