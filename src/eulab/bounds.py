@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from eulab.core import (
-    EInt, ONE, ResidueRing, ZERO, divides, exact_div, gcd, valuation,
+    EInt, ONE, ResidueRing, divides, exact_div, gcd, valuation,
 )
 from eulab.factor import (
-    EFactorization, factor_e, factor_rational, is_prime, pair_e_primes,
-    pair_form_primes, prime_pi, tau_e,
+    factor_e, factor_rational, is_prime, pair_e_primes, pair_form_primes,
+    prime_pi,
 )
 
 MINUS_ONE = EInt(-1, 0)
@@ -617,7 +617,7 @@ def verify_t1(elements: Iterable[EInt], seed: object = None) -> BoundReport:
 
     The pair sums are sieved over the whole set (pair_e_primes) rather
     than factored one by one; a cofactor the sieve primes cannot settle
-    falls back to factor_e.  A zero pair sum is flagged."""
+    is split into rational primes.  A zero pair sum is flagged."""
     elements = _sorted_set(elements)
     if len(elements) < 2:
         raise ValueError("need at least two distinct elements")
@@ -655,8 +655,8 @@ def verify_cor1(values: Iterable[int], seed: object = None) -> BoundReport:
 
     The pair values are sieved along the root progressions of
     x^2 + x + 1 rather than factored one by one (pair_form_primes); a
-    cofactor the sieve primes cannot settle falls back to
-    factor_rational.  No pair value is zero, so nothing is flagged."""
+    cofactor the sieve primes cannot settle is split into rational
+    primes.  No pair value is zero, so nothing is flagged."""
     elements = _positive_set(values)
     primes = pair_form_primes(elements, -1)
     bound = (math.log(len(elements)) - math.log(38)) / (2 * math.log(3))

@@ -1,10 +1,12 @@
 """Prime factorization over Z and over E, with the counting functions
 omega (distinct primes) and tau (divisors, associates counted separately).
 
-Rational factorization is trial division by the primes of a shared sieve,
-up to 65536, followed by Brent's cycle-finding splitter; primality of
-cofactors is decided by a Miller-Rabin base set that is deterministic far
-beyond 64-bit inputs.
+One table of the primes up to 4096 serves every routine.  Rational
+factorization trial-divides by it and leaves the cofactor to one routine,
+_factor_hard, which settles a value as prime once the primes below its
+square root are known absent, and otherwise runs a Miller-Rabin base set
+(deterministic far beyond 64-bit inputs) and Brent's cycle-finding
+splitter.
 Factorization in E rides on the rational factorization of the norm: 3
 ramifies onto (2,1), primes 2 mod 3 stay prime, and primes 1 mod 3 split
 into a conjugate pair, gcd(p, w - omega) for the two roots w of
@@ -15,8 +17,8 @@ pairs of a set are sieved along root progressions, as the quadratic sieve
 walks them (Pomerance 1982), rather than factored value by value.  The
 Eisenstein pair products a + rho*b are sieved the same way in E: each
 prime above a sieve prime maps E onto its residue field, and the pairs it
-divides are matched class by class; factor_e settles only the cofactors
-the sieve primes cannot.
+divides are matched class by class.  Both sieves hand the cofactors the
+table cannot settle to _factor_hard.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from eulab.core import COORD_BOUND, EInt, divides, exact_div, gcd
 
 INT64_MAX = 2**63 - 1
 
-# pair_form_primes and pair_e_primes sieve pair values (norms in E) with
-# the primes up to this bound.  4096^2 exceeds 3 * 2000^2, so every pair
+# The prime table ends at the last prime below this bound, 4093; the
+# search's pair table reads it up to isqrt(3 * 2000^2) = 3464.  The pair
+# sieves read it up to 4096: 4096^2 exceeds 3 * 2000^2, so every pair
 # value of a set up to 2000 is settled by the sieve alone.  Beyond the
 # bound, bucketing the set once per prime costs more than testing the
 # cofactors left: a full sieve to isqrt of the largest pair value made
@@ -41,18 +44,11 @@ INT64_MAX = 2**63 - 1
 # slower than factoring each pair value.
 _PAIR_SIEVE_BOUND = 4096
 
-# factor_rational trial-divides by the sieve primes up to this bound and
-# leaves the cofactor to _factor_hard.  A composite cofactor with no prime
-# factor below it is split by Brent's method far sooner than by trial
-# division on past the bound.
-_TRIAL_BOUND = 65536
-
 
 @cache
 def sieve_primes() -> list[int]:
-    """The primes up to _TRIAL_BOUND + 1, the last of them 65537: no
-    caller reads further, and factor_rational's walk stops at that prime."""
-    return _sieve(_TRIAL_BOUND + 1)
+    """The primes up to _PAIR_SIEVE_BOUND, the last of them 4093."""
+    return _sieve(_PAIR_SIEVE_BOUND)
 
 
 def _sieve(limit: int) -> list[int]:
@@ -93,8 +89,8 @@ def _primes_above(p: int) -> tuple[tuple[EInt, int], ...]:
 
 
 def prime_pi(x: float) -> int:
-    """Number of rational primes not exceeding x, for 0 <= x < 65538:
-    the prime table of sieve_primes() ends at 65537."""
+    """Number of rational primes not exceeding x, for 0 <= x < 4094:
+    the prime table of sieve_primes() ends at 4093."""
     if x < 0:
         raise ValueError("prime_pi needs a nonnegative argument")
     n = math.floor(x)
@@ -203,47 +199,31 @@ def factor_rational(n: int) -> RationalFactorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    # Trial division to 3000, then a primality check that cuts the walk
-    # short when the cofactor is prime, then on to _TRIAL_BOUND.  A
-    # cofactor is settled as prime (or 1) once p^2 exceeds it, since it
-    # has no prime factor below p, or when that check passes; only one
-    # left at _TRIAL_BOUND goes on to _factor_hard.  The walk always
-    # breaks, as the last sieve prime, 65537, exceeds _TRIAL_BOUND.
-    checked = False
-    settled = False
     for p in sieve_primes():
         if p * p > m:
-            settled = True
             break
-        if p > _TRIAL_BOUND:
-            break
-        if p > 3000 and not checked:
-            checked = True
-            if m > 1 and is_prime(m):
-                settled = True
-                break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             counts[p] = e
-    if m > 1:
-        if settled:
-            counts[m] = 1
-        else:
-            _factor_hard(m, counts)
+    # m has no prime factor below p, the last prime tried
+    _factor_hard(m, counts, p)
     return RationalFactorization(sign, tuple(sorted(counts.items())))
 
 
-def _factor_hard(m: int, counts: dict[int, int]) -> None:
-    """Accumulate factors of m, which has no divisor below the trial cut."""
+def _factor_hard(m: int, counts: dict[int, int], bound: int) -> None:
+    """Accumulate the prime factors of m, which has no prime factor below
+    bound, into counts.  A value below bound^2 is then 1 or a prime; any
+    other goes to is_prime and, if composite, to Brent's splitter, whose
+    parts keep the same property."""
     stack = [m]
     while stack:
         v = stack.pop()
         if v == 1:
             continue
-        if is_prime(v):
+        if v < bound * bound or is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
         d = _brent_split(v)
@@ -268,11 +248,10 @@ def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
     hit divides p out of its pair value completely.  The primes come from
     sieve_primes(), up to isqrt of the largest pair value but no further
     than _PAIR_SIEVE_BOUND.  A cofactor c > 1 left over is prime when
-    every prime up to isqrt(c) was sieved or when is_prime(c) says so;
-    otherwise factor_rational splits it.
+    every prime up to isqrt(c) was sieved; any other goes to _factor_hard.
 
-    A pair value above INT64_MAX raises the ValueError of factor_rational,
-    naming the first such value in pair order (i < j).
+    A pair value above INT64_MAX raises the ValueError factor_rational
+    would raise, naming the first such value in pair order (i < j).
     """
     n = len(elements)
     vals = [a * a + s * a * b + b * b
@@ -314,15 +293,15 @@ def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
                             hit = True
         if hit:
             found.append(p)
-    # Every prime up to settled was sieved (primes is empty when top < 4).
-    settled = primes[-1] if primes else 1
-    large: set[int] = set()
+    # Every prime below bound was sieved (primes is empty when top < 4).
+    bound = (primes[-1] if primes else 1) + 1
+    settled_sq = bound * bound
+    large: dict[int, int] = {}
     for v in vals:
-        if v > 1:
-            if math.isqrt(v) <= settled or is_prime(v):
-                large.add(v)
-            else:
-                large.update(q for q, _ in factor_rational(v).factors)
+        if 1 < v < settled_sq:
+            large[v] = 1
+        elif v > 1:
+            _factor_hard(v, large, bound)
     return tuple(found) + tuple(sorted(large))
 
 
@@ -335,7 +314,7 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     Returns (primes, None), or ((), (a, b)) for the first pair in pair
     order whose value is zero.  When a value with a coordinate beyond 64
     bits (in rho*b or in the sum) or a norm above INT64_MAX comes first,
-    that pair is evaluated as a + rho*b and factored, which raises the
+    evaluating that pair as a + rho*b, or factoring it, raises the
     OverflowError or ValueError of EInt and factor_e.
 
     The pair values are sieved in E one rational prime p at a time.  Each
@@ -350,9 +329,11 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     of pairs.  A norm cofactor m > 1 left over is prime when the sieved
     primes reach isqrt(m): then it is 3 (only when 3 was not sieved) or a
     split prime q, and a residue test mod q against the first root of
-    x^2 + x + 1 picks the prime above q that divides the value; each prime
-    so picked is named once, after the pairs.  Any other cofactor sends
-    its value to factor_e.  No EInt is built per pair.
+    x^2 + x + 1 picks the prime above q that divides the value.  Any
+    other cofactor is split by _factor_hard; of each prime q it yields,
+    q itself divides the value when q = 2 mod 3, and otherwise each prime
+    above q whose root passes the residue test does.  Each prime so picked
+    is named once, after the pairs.  No EInt is built per pair.
     """
     n = len(elements)
     if n < 2:
@@ -380,27 +361,24 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     widest = (max(max(abs(x), abs(y)) for x, y in coords)
               + max(max(abs(u), abs(v)) for u, v in twisted))
     top = max(norms)
-    if widest <= COORD_BOUND and top <= INT64_MAX:
-        first = norms.index(0) if min(norms) == 0 else None
-    else:
-        first = next((k for k, ((i, j), m) in enumerate(
-            zip(pairs(range(n), 2), norms))
-            if not 0 < m <= INT64_MAX or max(
-                abs(twisted[j][0]), abs(twisted[j][1]),
-                abs(coords[i][0] + twisted[j][0]),
-                abs(coords[i][1] + twisted[j][1])) > COORD_BOUND), None)
-    if first is not None:
-        i, j = next(itertools.islice(pairs(range(n), 2), first, None))
-        a, b = elements[i], elements[j]
-        if not norms[first]:
-            return (), (a, b)
-        factor_e(a + rho * b)
-        raise AssertionError(f"pair ({a}) + ({rho})*({b}) is in range")
+    if widest > COORD_BOUND or top > INT64_MAX:
+        # Replay the pairs exactly: the first zero, overflowing or
+        # oversized value in pair order decides; if none, fall through.
+        for i, j in pairs(range(n), 2):
+            value = elements[i] + rho * elements[j]
+            if value.is_zero():
+                return (), (elements[i], elements[j])
+            if value.norm() > INT64_MAX:
+                factor_e(value)
+    elif min(norms) == 0:
+        i, j = next(itertools.islice(pairs(range(n), 2), norms.index(0),
+                                     None))
+        return (), (elements[i], elements[j])
 
     # Every prime up to settled is sieved.  A prime p divides about 2/p of
     # the pair values, so past the number of pairs it would hit fewer than
-    # two on average, and bucketing the set for it costs more than the
-    # factor_e calls it could save: verify_t1 on 3 elements with
+    # two on average, and bucketing the set for it costs more than
+    # factoring the cofactors it would shrink: verify_t1 on 3 elements with
     # coordinates near 1000 took 2.1 ms with the sieve to isqrt(top)
     # against 0.3 ms with one factor_e call per pair (2 vCPUs, Python 3.11).
     settled = min(math.isqrt(top), _PAIR_SIEVE_BOUND, len(norms))
@@ -447,18 +425,26 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
 
     # A cofactor below settled_sq has no prime factor up to its root.
     settled_sq = (settled + 1) ** 2
-    # (q, k) for the k-th prime of _primes_above(q): k = 0 when the first
-    # root w of x^2 + x + 1 mod q has x + y*w = 0 mod q, 1 otherwise
-    named: set[tuple[int, bool]] = set()
+    # (q, k) for the k-th prime of _primes_above(q), whose root w has
+    # x + y*w = 0 mod q; exactly one prime above a prime cofactor q
+    # divides the value, so the first root's test settles k
+    named: set[tuple[int, int]] = set()
     for (i, j), m in itertools.compress(zip(pairs(range(n), 2), norms),
                                         [m > 1 for m in norms]):
         x = coords[i][0] + twisted[j][0]
         y = coords[i][1] + twisted[j][1]
-        if m >= settled_sq:
-            found.update(q for q, _ in factor_e(EInt(x, y)).factors)
-        else:
+        if m < settled_sq:
             w = _primes_above(m)[0][1]
             named.add((m, (x + y * w) % m != 0))
+            continue
+        qs: dict[int, int] = {}
+        _factor_hard(m, qs, settled + 1)
+        for q in qs:
+            if q % 3 == 2:
+                found.add(EInt(q, 0))
+            else:
+                named.update((q, k) for k, (_, w) in enumerate(
+                    _primes_above(q)) if (x + y * w) % q == 0)
     found.update(_primes_above(q)[k][0] for q, k in named)
     return tuple(sorted(found, key=lambda x: (x.norm(), x.a, x.b))), None
 

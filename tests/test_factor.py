@@ -15,6 +15,7 @@ from eulab.factor import (
     factor_e, factor_rational, is_prime, omega_e, omega_n, pair_e_primes,
     pair_form_primes, prime_pi, sieve_primes, split_prime, tau_e,
 )
+from eulab.search import MAX_TABLE_ELEMENT
 from oracles import (
     _canonical_of_norm, _e_value_primes, e_pair_primes_naive,
     enumerate_divisors, gcd_by_factoring, pair_primes_naive,
@@ -62,12 +63,14 @@ def _is_prime_by_trial_division(n):
     (1000003, 1000033),
     (999999893, 999999937),
     (3, 5, 7, 1000003, 1000033),
-    # cofactors beyond the trial-division bound that are prime powers or
-    # have three prime factors
+    # cofactors beyond 65536 that are prime powers or have three prime
+    # factors
     (65537, 65537),
     (65537, 65537, 65537),
     (65537, 65537, 1000003),
     (65537, 65539, 65543),
+    # a 64-bit semiprime with no factor in the prime table
+    (2147483647, 4294967291),
 ])
 def test_factor_rational_large_cofactors(primes):
     n = math.prod(primes)
@@ -95,13 +98,14 @@ def _factors_by_trial_division(n):
 
 
 # p^2 and p*q with p just below and q just above sqrt(p*q), around the
-# Miller-Rabin checkpoint at 3000, a lowered trial bound of 50 and the
-# trial bound of 65536; prime cofactors settled by p^2 > m with and
-# without small factors in front.
+# end of a shortened table of the primes up to 50, around 3000, the end
+# of the table at 4093 and 65536; prime cofactors settled by p^2 > m with
+# and without small factors in front.
 EDGE_VALUES = [
     2, 4, 49, 47 * 47, 53 * 53, 47 * 53, 43 * 47, 53 * 59, 2 * 53 * 59,
     2999 * 2999, 3001 * 3001, 2999 * 3001, 2729 * 2731, 3001 * 3011,
-    6 * 3001 * 3011, 30 * 65521, 65521 * 65521, 65537 * 65537,
+    6 * 3001 * 3011, 4091 * 4093, 4093 * 4093, 4099 * 4099, 4093 * 4099,
+    6 * 4093 * 4099, 30 * 65521, 65521 * 65521, 65537 * 65537,
     65521 * 65537, 3 * 65519 * 65521, 2**20 * 1000003, 999983 * 1000003,
     2 * 3 * 5 * 7 * 11 * 13, 7**12, 9973 * 9973 * 9967,
 ]
@@ -109,10 +113,12 @@ EDGE_VALUES = [
 
 @pytest.mark.parametrize("bound", [None, 50])
 def test_factor_rational_matches_trial_division(monkeypatch, bound):
-    # The uncached body, so each value goes through the bound in force;
-    # at 50 most cofactors are left to _factor_hard.
+    # The uncached body, so each value goes through the table in force;
+    # with the primes up to 50 only, most cofactors are left to
+    # _factor_hard.
     if bound is not None:
-        monkeypatch.setattr(factor, "_TRIAL_BOUND", bound)
+        monkeypatch.setattr(factor, "sieve_primes",
+                            lambda: factor._sieve(bound))
     raw = factor_rational.__wrapped__
     rng = random.Random(f"edge:{bound}")
     values = EDGE_VALUES + [rng.randrange(2, 2 * 10**5) for _ in range(300)]
@@ -135,22 +141,25 @@ def test_prime_pi():
     assert prime_pi(10) == 4
     assert prime_pi(14.2) == 6
     assert prime_pi(997) == 168
-    assert prime_pi(65537) == 6543
+    assert prime_pi(4093) == 564
     with pytest.raises(ValueError):
         prime_pi(-1)
     with pytest.raises(ValueError):
-        prime_pi(65538)
+        prime_pi(4094)
     with pytest.raises(ValueError):
-        prime_pi(10**5)
+        prime_pi(65537)
 
 
-def test_sieve_primes_end_at_65537():
-    # factor_rational's walk breaks at the first prime past _TRIAL_BOUND,
-    # so the table must reach one.
+def test_sieve_primes_end_at_4093():
+    # One table serves every reader: it ends at the last prime below
+    # _PAIR_SIEVE_BOUND, and it reaches isqrt(3 * MAX_TABLE_ELEMENT^2), so
+    # a PairPrimeCache cofactor left after the table is 1 or a prime.
     primes = sieve_primes()
-    assert primes[-1] == 65537
-    assert primes[-2] <= factor._TRIAL_BOUND < primes[-1]
-    assert primes == _sieve(65537)
+    assert primes[-1] == 4093
+    assert primes[-1] >= math.isqrt(3 * MAX_TABLE_ELEMENT ** 2)
+    assert primes == _sieve(factor._PAIR_SIEVE_BOUND)
+    assert primes == [p for p in range(2, factor._PAIR_SIEVE_BOUND + 1)
+                      if _is_prime_by_trial_division(p)]
 
 
 def test_classify_prime():
@@ -354,7 +363,7 @@ class TestPairFormPrimes:
     @pytest.mark.parametrize("s", [1, -1])
     def test_small_sieve_limit_falls_back(self, monkeypatch, s):
         # With primes only up to 50 sieved, most cofactors are settled by
-        # is_prime or split by factor_rational instead of the sieve.
+        # is_prime or split by _factor_hard instead of the sieve.
         monkeypatch.setattr(factor, "_PAIR_SIEVE_BOUND", 50)
         rng = random.Random(50 + s)
         for size in (4, 12, 30):
@@ -448,7 +457,11 @@ class TestPairEPrimes:
         EInt(5, 0),        # the inert 5 divides both coordinates
         EInt(7, 0),        # 7 | x: both primes above 7 divide each value
         EInt(3, 1),        # one prime above 7 divides each value
-    ], ids=["lambda", "2", "5", "7", "3,1"])
+        # primes past the sieve table, left in composite norm cofactors:
+        EInt(4099, 0),     # both primes above the split 4099 divide
+        EInt(4221, 256),   # pi^2 for pi = (65,2) above 4099
+        EInt(4127, 0),     # the inert 4127 divides both coordinates
+    ], ids=["lambda", "2", "5", "7", "3,1", "4099", "4221,256", "4127"])
     def test_common_factor(self, rho, ordered, scale):
         rng = random.Random(f"pair-e:{rho}:{scale}")
         elements = eint_set(rng, 12, 6, scale, avoid=(rho, ordered))
@@ -474,7 +487,8 @@ class TestPairEPrimes:
 
     @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
     def test_small_sieve_limit_falls_back(self, monkeypatch, rho, ordered):
-        # With primes only up to 50 sieved, most cofactors go to factor_e.
+        # With primes only up to 50 sieved, most cofactors are split by
+        # _factor_hard.
         monkeypatch.setattr(factor, "_PAIR_SIEVE_BOUND", 50)
         rng = random.Random(f"pair-e-50:{rho}")
         for size in (4, 12, 25):
@@ -483,7 +497,7 @@ class TestPairEPrimes:
 
     @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
     def test_coordinates_near_2_30(self, rho, ordered):
-        # cofactors far beyond the sieve bound go to factor_e
+        # cofactors far beyond the sieve bound go to _factor_hard
         rng = random.Random(f"pair-e-big:{rho}")
         top = 2**30
         elements = tuple(sorted(
