@@ -588,10 +588,12 @@ class BoundReport:
         }
 
 
-def _compare(omega: int | None, bound: float, comparison: str) -> bool:
-    if omega is None:
-        return True
-    return omega > bound if comparison == ">" else omega >= bound
+def _above_log(omega: int | None, scale: int, base: int, size: int) -> bool:
+    """Whether omega > log_base(size / scale), decided on integers as
+    scale * base^omega > size; an infinite omega (None) passes.  The
+    float bound of a report is only shown: at an exact threshold such as
+    size = 38 * 9 it evaluates a hair below the integer it equals."""
+    return omega is None or scale * base ** omega > size
 
 
 def _e_pair_omega(elements: Sequence[EInt], rho: EInt, ordered: bool,
@@ -624,7 +626,8 @@ def verify_t1(elements: Iterable[EInt], seed: object = None) -> BoundReport:
     omega, primes, flagged = _e_pair_omega(elements, ONE, ordered=False)
     bound = (math.log(len(elements) - 1) - math.log(18)) / math.log(2)
     return BoundReport("t1", None, seed, elements, omega, bound, ">",
-                       _compare(omega, bound, ">"), flagged, primes)
+                       _above_log(omega, 18, 2, len(elements) - 1),
+                       flagged, primes)
 
 
 def verify_t2(elements: Iterable[EInt], rho: EInt, seed: object = None,
@@ -646,7 +649,9 @@ def verify_t2(elements: Iterable[EInt], rho: EInt, seed: object = None,
     omega, primes, flagged = _e_pair_omega(elements, rho, ordered=True)
     bound = (math.log(len(elements)) - math.log(constants.threshold)) / math.log(3)
     return BoundReport("t2", rho, seed, elements, omega, bound, ">",
-                       _compare(omega, bound, ">"), flagged, primes)
+                       _above_log(omega, constants.threshold, 3,
+                                  len(elements)),
+                       flagged, primes)
 
 
 def verify_cor1(values: Iterable[int], seed: object = None) -> BoundReport:
@@ -661,7 +666,8 @@ def verify_cor1(values: Iterable[int], seed: object = None) -> BoundReport:
     primes = pair_form_primes(elements, -1)
     bound = (math.log(len(elements)) - math.log(38)) / (2 * math.log(3))
     return BoundReport("cor1", None, seed, elements, len(primes), bound, ">",
-                       _compare(len(primes), bound, ">"), False, primes)
+                       _above_log(len(primes), 38, 9, len(elements)),
+                       False, primes)
 
 
 def verify_cor2(values: Iterable[int], seed: object = None) -> BoundReport:
@@ -670,7 +676,8 @@ def verify_cor2(values: Iterable[int], seed: object = None) -> BoundReport:
     primes = pair_form_primes(elements, 1)
     bound = (math.log(len(elements)) - math.log(146)) / (2 * math.log(3))
     return BoundReport("cor2", None, seed, elements, len(primes), bound, ">",
-                       _compare(len(primes), bound, ">"), False, primes)
+                       _above_log(len(primes), 146, 9, len(elements)),
+                       False, primes)
 
 
 def verify_rho_minus1(elements: Iterable[EInt], seed: object = None) -> BoundReport:
@@ -683,9 +690,10 @@ def verify_rho_minus1(elements: Iterable[EInt], seed: object = None) -> BoundRep
         raise ValueError("need at least two distinct elements")
     omega, primes, flagged = _e_pair_omega(elements, MINUS_ONE,
                                            ordered=False)
-    bound = float(prime_pi(math.isqrt(len(elements) - 1)))
-    return BoundReport("rho_minus1", MINUS_ONE, seed, elements, omega, bound,
-                       ">=", _compare(omega, bound, ">="), flagged, primes)
+    count = prime_pi(math.isqrt(len(elements) - 1))
+    return BoundReport("rho_minus1", MINUS_ONE, seed, elements, omega,
+                       float(count), ">=", omega is None or omega >= count,
+                       flagged, primes)
 
 
 def verify_erdos_turan(values: Iterable[int], seed: object = None) -> BoundReport:
@@ -698,9 +706,9 @@ def verify_erdos_turan(values: Iterable[int], seed: object = None) -> BoundRepor
     # now k = largest exponent with 3*2^(k-1) <= |A| (0 when |A| = 2)
     sums = (a + b for i, a in enumerate(elements) for b in elements[i + 1:])
     omega, primes, flagged = _n_product_omega(sums)
-    bound = float(k + 1)
-    return BoundReport("erdos_turan", None, seed, elements, omega, bound,
-                       ">=", _compare(omega, bound, ">="), flagged, primes)
+    return BoundReport("erdos_turan", None, seed, elements, omega,
+                       float(k + 1), ">=", omega is None or omega >= k + 1,
+                       flagged, primes)
 
 
 def _positive_set(values: Iterable[int]) -> tuple[int, ...]:

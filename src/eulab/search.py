@@ -6,13 +6,14 @@ pairs from S.  The searcher finds min omega(S) and can enumerate every
 witness attaining it.
 
 The bound is the plain monotonicity of omega: growing a set never removes
-primes.  The search runs passes at the fixed ceilings 0, 1, 2, ...; each
-pass enumerates, in lexicographic order, the k-sets whose union of pair
-primes stays within its ceiling, and the first ceiling that yields a set
-is the minimum.  A node carries its candidate next elements together
-with the union each would give; a child only filters its parent's list,
-and a node with fewer candidates than elements still needed is cut
-(candidate-set branch and bound, Carraghan & Pardalos 1990).
+primes.  The search walks the k-sets once, in lexicographic order, with
+an incumbent best that only falls: a partial set whose union of pair
+primes already exceeds best is cut, and each set found below best lowers
+it.  A node carries its candidate next elements together with the union
+each would give; a child only filters its parent's list against the
+current best, and a node with fewer candidates than elements still
+needed is cut (candidate-set branch and bound, Carraghan & Pardalos
+1990).
 
 The pair table is line-sieved rather than factored pair by pair: in row
 a, a prime p divides a^2 + a*b + b^2 along the progressions b = a*r
@@ -25,8 +26,9 @@ bit-parallel clique search (San Segundo et al. 2011): primes shared by
 two or more pairs in range take one bit each, most frequent first, and
 a prime of a single pair is kept as a per-pair count, since it joins a
 union exactly when its pair is chosen.  Workers are forked processes
-that split the first elements and share nothing but the read-only row
-table, so node counts do not depend on timing.
+that split the first elements, each with its own incumbent, and share
+nothing but the read-only row table, so node counts do not depend on
+timing.
 """
 
 from __future__ import annotations
@@ -151,45 +153,57 @@ def _row_table(cache: PairPrimeCache, max_element: int,
 
 
 def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
-           ceiling: int, primitive_only: bool, all_witnesses: bool,
-           ) -> tuple[list[tuple[int, ...]], int]:
-    """Enumerate, in lexicographic order, the k-sets rooted at the given
-    first elements whose union of pair primes has at most ceiling primes.
-    pm and sc are the masks and single-pair counts of _row_table.
-    Returns (the sets, nodes).  Without all_witnesses only the first set
-    is returned.
+           primitive_only: bool, all_witnesses: bool,
+           ) -> tuple[int, list[tuple[int, ...]], int]:
+    """Branch and bound over the k-sets rooted at the given first
+    elements, with an incumbent best that only falls.  pm and sc are the
+    masks and single-pair counts of _row_table.  Returns (best, sets,
+    nodes): best is the least omega of the slice's sets and sets lists,
+    in lexicographic order, every set attaining it, or only the first
+    without all_witnesses.
 
     A node holds the single-pair count base of the chosen elements and
     candidates (e, U_e, d_e): U_e is the mask of the union for
     elems + [e] and d_e the single-pair count of e's pairs with elems,
-    so U_e has U_e.bit_count() + base + d_e primes, already within the
-    ceiling.  Choosing e keeps (f, U_e | U_f | pm[e][f], d_f + sc[e][f])
-    for each later candidate f still within it; a node left with fewer
-    candidates than elements still needed is cut.  Each mask tested
-    against the ceiling counts as one node."""
+    so elems + [e] has U_e.bit_count() + base + d_e primes.  Choosing e
+    keeps (f, U_e | U_f | pm[e][f], d_f + sc[e][f]) for each later
+    candidate f still within the current limit: best with all_witnesses,
+    which keeps ties, else best - 1, which keeps only strictly better
+    sets, so the set kept last is the first at the slice's minimum.  A
+    node left with fewer candidates than elements still needed is cut.
+    A leaf scans all its candidates, since best may have fallen after
+    its list was built and a later candidate may still lower it.  Each
+    mask tested against the limit counts as one node."""
     nodes = 0
+    # above any omega: each of the k(k-1)/2 pair values is below 3M^2
+    # and has fewer distinct primes than bits
+    best = k * (k - 1) // 2 * (3 * max_element * max_element).bit_length() + 1
+    slack = 0 if all_witnesses else 1
     found: list[tuple[int, ...]] = []
     gcd = math.gcd
     elems: list[int] = []
 
-    def extend(cands: list, need: int, base: int) -> bool:
-        """Choose the remaining need elements from cands; True once the
-        first set is in hand and no more are wanted."""
-        nonlocal nodes
+    def extend(cands: list, need: int, base: int) -> None:
+        """Choose the remaining need elements from cands."""
+        nonlocal nodes, best
         if need == 1:
             g = gcd(*elems)
-            for e, _, _ in cands:
+            for e, u, du in cands:
                 if primitive_only and gcd(g, e) != 1:
                     continue
+                omega = u.bit_count() + base + du
+                if omega < best:
+                    best = omega
+                    found.clear()
+                elif omega > best - slack:
+                    continue
                 found.append((*elems, e))
-                if not all_witnesses:
-                    return True
-            return False
+            return
         for i in range(len(cands) - need + 1):
             e, u, du = cands[i]
             row = pm[e]
             srow = sc[e]
-            room = ceiling - (base + du)
+            room = best - slack - (base + du)
             later = cands[i + 1:]
             nodes += len(later)
             child = [(f, m, d) for f, uf, df in later
@@ -198,22 +212,19 @@ def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
             if len(child) < need - 1:
                 continue
             elems.append(e)
-            done = extend(child, need - 1, base + du)
+            extend(child, need - 1, base + du)
             elems.pop()
-            if done:
-                return True
-        return False
 
     for a in firsts:
         row = pm[a]
         srow = sc[a]
         nodes += max_element - a
+        limit = best - slack
         cands = [(e, row[e], srow[e]) for e in range(a + 1, max_element + 1)
-                 if row[e].bit_count() + srow[e] <= ceiling]
+                 if row[e].bit_count() + srow[e] <= limit]
         elems[:] = [a]
-        if extend(cands, k - 1, 0):
-            break
-    return found, nodes
+        extend(cands, k - 1, 0)
+    return best, found, nodes
 
 
 # The row table, inherited read-only by forked workers.
@@ -241,13 +252,14 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
     A cache built for a larger table can serve any smaller max_element.
     With all_witnesses the full list of minimum sets is returned in
     lexicographic order; otherwise only the lexicographically first.
-    The search runs ceiling passes 0, 1, 2, ...: each enumerates the
-    k-sets whose pair primes stay within the ceiling, split by first
-    element over the workers, and the first ceiling that yields a set
-    is the minimum.  Workers are capped at the max_element - k + 1 first
-    elements that can start a k-set.  Results never depend on the worker
-    count; nodes_visited depends on it only in first-witness mode, where
-    each slice stops at its own first set, and never on timing.
+    The first elements are split over the workers, and each slice is
+    searched in one pass with its own falling incumbent (_slice); the
+    minimum is the least of the slices' minima, and the witnesses are
+    the merged lists of the slices that reach it.  Workers are capped at
+    the max_element - k + 1 first elements that can start a k-set.
+    Results never depend on the worker count.  nodes_visited does in
+    both modes, since a slice prunes only against its own incumbent, but
+    it never depends on timing.
     """
     if max_element is None:
         max_element = cache.max_element
@@ -261,7 +273,6 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
 
     start = time.perf_counter()
     slices = [range(w + 1, starts + 1, workers) for w in range(workers)]
-    nodes = 0
     with contextlib.ExitStack() as stack:
         _FORK["table"] = _row_table(cache, max_element)
         stack.callback(_FORK.clear)
@@ -269,21 +280,20 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
         if workers > 1:
             mapper = stack.enter_context(
                 multiprocessing.get_context("fork").Pool(workers)).map
-        for ceiling in itertools.count():
-            parts = list(mapper(_entry, [
-                (max_element, k, s, ceiling, primitive_only, all_witnesses)
-                for s in slices]))
-            nodes += sum(n for _, n in parts)
-            witnesses = sorted(w for sets, _ in parts for w in sets)
-            if witnesses:
-                break
+        parts = list(mapper(_entry, [
+            (max_element, k, s, primitive_only, all_witnesses)
+            for s in slices]))
+    minimum = min(best for best, _, _ in parts)
+    witnesses = sorted(w for best, sets, _ in parts if best == minimum
+                       for w in sets)
+    nodes = sum(n for _, _, n in parts)
 
     if not all_witnesses:
         witnesses = witnesses[:1]
     seconds = time.perf_counter() - start
     return SearchResult(
         k=k, max_element=max_element, primitive_only=primitive_only,
-        all_witnesses=all_witnesses, minimum=ceiling,
+        all_witnesses=all_witnesses, minimum=minimum,
         witness_count=len(witnesses), witnesses=tuple(witnesses),
         nodes_visited=nodes, seconds=seconds)
 

@@ -2,9 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import eulab.bounds as bounds
 from eulab.core import (
     EInt, LAMBDA, ONE, OMEGA, ResidueRing, UNITS, ZERO, divides, valuation,
 )
@@ -13,7 +15,7 @@ from eulab.bounds import (
     coset_split, phi, random_eint_set, random_int_set, run_trials,
     three_coloring, uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
-    _lazy_uv_group, _prime_power_units, _three_group,
+    _above_log, _lazy_uv_group, _prime_power_units, _three_group,
 )
 from oracles import (
     _canonical_of_norm, _trial_division_primes, reduced_representatives,
@@ -396,6 +398,73 @@ class TestVerifiers:
             verify_cor1([0, 1])
         with pytest.raises(ValueError):
             verify_t1([ONE])
+
+
+# (family, scale, base, exponents j): log_base(scale * base^j / scale) is
+# exactly j, and at each of these sizes below 2^63 (t2 below 10^8) the
+# float bound of a report evaluates below j.  For t1 the size compared
+# is |A| - 1.
+EXACT_THRESHOLDS = [
+    ("t1", 18, 2, (20,)),
+    ("t2-38", 38, 3, (2, 4, 7, 10)),
+    ("t2-146", 146, 3, (2, 4, 7, 10, 11)),
+    ("t2-326", 326, 3, (2, 3, 5, 6, 8)),
+    ("t2-578", 578, 3, (1, 4, 5, 7, 8)),
+    ("cor1", 38, 9, (1, 2, 5, 7, 10, 13, 15, 16)),
+    ("cor2", 146, 9, (1, 2, 5, 7, 10, 13, 15, 16)),
+]
+
+
+class TestExactVerdicts:
+    @pytest.mark.parametrize("family,scale,base,exponents", EXACT_THRESHOLDS,
+                             ids=[row[0] for row in EXACT_THRESHOLDS])
+    def test_integer_rule_at_thresholds(self, family, scale, base,
+                                        exponents):
+        # omega > log_base(size / scale) against a Fraction oracle, at
+        # each threshold size and its neighbours
+        for j in exponents:
+            size = scale * base ** j
+            assert not _above_log(j, scale, base, size)
+            for n in (size - 1, size, size + 1):
+                for omega in (j - 1, j, j + 1):
+                    assert _above_log(omega, scale, base, n) == (
+                        Fraction(n, scale) < Fraction(base) ** omega), (
+                        family, n, omega)
+        assert _above_log(None, scale, base, scale * base ** exponents[0])
+
+    @pytest.mark.parametrize("theorem,size,j", [
+        ("t1", 18 * 2 + 1, 1), ("t1", 18 * 2 ** 5 + 1, 5),
+        ("t2", 38 * 9, 2), ("t2", 146 * 9, 2),
+        ("cor1", 38 * 9, 1), ("cor2", 146 * 9, 1),
+    ])
+    def test_verifiers_decide_on_integers(self, monkeypatch, theorem, size,
+                                          j):
+        # omega is set by hand: a set whose omega equals an exact bound is
+        # a counterexample to the strict inequality and must not pass
+        omega = {}
+        monkeypatch.setattr(bounds, "_e_pair_omega",
+                            lambda *args, **kw: (omega["n"], (), False))
+        monkeypatch.setattr(bounds, "pair_form_primes",
+                            lambda *args: tuple(range(omega["n"])))
+        rho = OMEGA if size == 38 * 9 else EInt(1, 1)
+
+        def verdict(n_elements, n_omega):
+            omega["n"] = n_omega
+            eints = [EInt(i, 0) for i in range(n_elements)]
+            ints = range(1, n_elements + 1)
+            report = {"t1": lambda: verify_t1(eints),
+                      "t2": lambda: verify_t2(eints, rho),
+                      "cor1": lambda: verify_cor1(ints),
+                      "cor2": lambda: verify_cor2(ints)}[theorem]()
+            assert report.omega == n_omega
+            return report
+
+        at = verdict(size, j)
+        assert math.isclose(at.bound, j)
+        assert not at.passed
+        assert verdict(size, j + 1).passed
+        assert verdict(size - 1, j).passed
+        assert not verdict(size + 1, j).passed
 
 
 class TestTrials:

@@ -18,6 +18,9 @@ from eulab.search import (
 from oracles import brute_force_search, omega_naive, pair_primes_naive
 
 
+_brute_force = functools.cache(brute_force_search)
+
+
 @pytest.fixture(scope="module")
 def cache60():
     return PairPrimeCache(60)
@@ -102,10 +105,10 @@ class TestRowTable:
         # the benchmark's search rows at one worker: minima as published,
         # node counts pinned so that a change to the walk shows
         cache = PairPrimeCache(360)
-        rows = [(3, 140, True, 3, 657_572), (4, 72, True, 4, 199_887),
-                (5, 44, True, 5, 126_928), (6, 36, True, 6, 128_868),
-                (4, 150, False, 4, 801_751), (5, 90, False, 5, 373_572),
-                (7, 64, False, 7, 950_306), (8, 36, True, 9, 694_241)]
+        rows = [(3, 140, True, 3, 416_551), (4, 72, True, 4, 98_793),
+                (5, 44, True, 5, 79_058), (6, 36, True, 6, 64_565),
+                (4, 150, False, 4, 523_391), (5, 90, False, 5, 189_420),
+                (7, 64, False, 7, 562_217), (8, 36, True, 9, 332_867)]
         for k, m, all_witnesses, minimum, nodes in rows:
             result = run_search(cache, k, m, primitive_only=True,
                                 all_witnesses=all_witnesses, workers=1)
@@ -128,6 +131,22 @@ class TestRunSearch:
         assert first.minimum == best
         assert list(first.witnesses) == witnesses[:1]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("k,m,primitive", [
+        (2, 40, False), (3, 40, True), (3, 36, False), (4, 28, True),
+        (4, 24, False), (5, 20, True), (5, 18, False),
+    ])
+    def test_single_pass_matches_brute_force(self, cache60, k, m, primitive,
+                                             workers):
+        # each slice's falling incumbent, merged over 1 to 3 slices
+        best, witnesses = _brute_force(k, m, primitive)
+        for all_witnesses in (True, False):
+            result = run_search(cache60, k, m, primitive_only=primitive,
+                                all_witnesses=all_witnesses, workers=workers)
+            assert result.minimum == best
+            assert list(result.witnesses) == (
+                witnesses if all_witnesses else witnesses[:1])
+
     def test_first_witness_mode(self, cache60):
         full = run_search(cache60, 3, 40, all_witnesses=True)
         first = run_search(cache60, 3, 40)
@@ -145,35 +164,58 @@ class TestRunSearch:
         assert one.witnesses == four.witnesses
         assert one.witness_count == four.witness_count
 
-    def test_slice_enumerates_sets_within_ceiling(self, cache60):
-        # a slice returns exactly the sets rooted at its first elements
-        # whose omega is within the ceiling, in order; the first of them
-        # in first-witness mode
-        best, _ = brute_force_search(3, 40, True)
-        table = _row_table(cache60, 40)
-        for firsts in (range(1, 41, 2), range(2, 41, 2)):
-            for ceiling in (best - 1, best, best + 1):
-                expect = [s for s in itertools.combinations(range(1, 41), 3)
-                          if s[0] in firsts and math.gcd(*s) == 1
-                          and omega_naive(s) <= ceiling]
-                found, nodes = _slice(*table, 40, 3, firsts, ceiling,
-                                      True, True)
-                assert found == expect
-                assert nodes > 0
-                found, _ = _slice(*table, 40, 3, firsts, ceiling,
-                                  True, False)
-                assert found == expect[:1]
+    @pytest.mark.parametrize("k,m,primitive", [
+        (3, 40, True), (3, 30, False), (4, 24, True), (2, 20, False),
+    ])
+    def test_slice_finds_its_own_minimum(self, cache60, k, m, primitive):
+        # a slice returns the least omega of the sets rooted at its first
+        # elements and every set attaining it in order, or the first of
+        # them in first-witness mode
+        table = _row_table(cache60, m)
+        sets = [s for s in itertools.combinations(range(1, m + 1), k)
+                if not primitive or math.gcd(*s) == 1]
+        for firsts in (range(1, m + 1, 2), range(2, m + 1, 2),
+                       range(1, m + 1, 3), range(m - k + 1, m - k + 2)):
+            mine = [s for s in sets if s[0] in firsts]
+            best = min(omega_naive(s) for s in mine)
+            expect = [s for s in mine if omega_naive(s) == best]
+            got = _slice(*table, m, k, firsts, primitive, True)
+            assert got[:2] == (best, expect)
+            assert got[2] > 0
+            assert _slice(*table, m, k, firsts, primitive, False)[:2] == (
+                best, expect[:1])
+
+    def test_slice_leaf_scans_past_its_first_hit(self):
+        # A hand-made table over 1..4 with three primes and no singles:
+        # omega(1, 2, 3) = 3, omega(1, 2, 4) = 1, omega(1, 3, 4) = 2.
+        # The leaf below (1, 2) holds the candidates 3 and 4.  Its first
+        # set lowers best to 3, and the later one to 1.  A leaf that
+        # stopped at its first set would go on with best = 3 and keep
+        # (1, 3, 4) with omega 2.
+        p0, p1, p2 = 0b001, 0b010, 0b100
+        pm = [[0] * 5 for _ in range(5)]
+        sc = [[0] * 5 for _ in range(5)]
+        pm[1][2] = pm[1][4] = pm[2][4] = pm[3][4] = p0
+        pm[1][3] = p1
+        pm[2][3] = p2
+        for all_witnesses in (True, False):
+            assert _slice(pm, sc, 4, 3, [1], False, all_witnesses)[:2] == (
+                1, [(1, 2, 4)])
 
     def test_nodes_do_not_depend_on_timing(self, cache60):
-        # shapes where a shared incumbent made the counts vary run to run
-        one = run_search(cache60, 4, 40, primitive_only=True,
-                         all_witnesses=True, workers=1)
-        four = run_search(cache60, 4, 40, primitive_only=True,
-                          all_witnesses=True, workers=4)
-        assert one.nodes_visited == four.nodes_visited
-        runs = [run_search(cache60, 5, 30, primitive_only=True, workers=2)
-                for _ in range(2)]
-        assert runs[0].nodes_visited == runs[1].nodes_visited
+        # shapes where a shared incumbent made the counts vary run to run;
+        # each slice keeps its own incumbent, so nodes depend on the
+        # worker count but repeat at a fixed one, in both modes
+        for all_witnesses, (k, m) in itertools.product(
+                (True, False), ((4, 40), (5, 30))):
+            runs = {w: [run_search(cache60, k, m, primitive_only=True,
+                                   all_witnesses=all_witnesses, workers=w)
+                        for _ in range(2)] for w in (1, 4)}
+            for first, again in runs.values():
+                assert first.nodes_visited == again.nodes_visited
+            one, four = runs[1][0], runs[4][0]
+            assert (one.minimum, one.witnesses) == (
+                four.minimum, four.witnesses)
 
     def test_workers_capped_at_first_elements(self, cache60, monkeypatch):
         # only max - k + 1 = 3 first elements can start a 3-set of 1..5
