@@ -10,15 +10,15 @@ divisibility from their summands; verifiers then check the published
 inequalities on randomized sets.
 
 Color assignments are defined by a greedy pass over ring representatives in
-enumeration order.  Splitting a set only needs the colors of a handful of
-residues, so those are evaluated lazily: a residue's greedy color depends
-only on neighbors that enumerate earlier, and that recursion is replayed
-on demand.  The eager 3-coloring pass and the lazy walks run on the raw
-coordinate pairs of reduced residues, which are also their enumeration
-rank: products are reduced with ResidueRing.reduce_pair and colors are
-kept by pair, so no EInt is built per residue.  The eager and lazy
-evaluations agree by construction and the test suite checks them against
-each other on whole rings.
+enumeration order.  A residue's greedy color depends only on neighbors
+that enumerate earlier, so one walk serves both uses: splitting a set asks
+it for the colors of a handful of residues, replaying their earlier
+dependency chains on demand, and a whole coloring asks it for every unit
+in enumeration order, where it never has to recurse.  The walks run on the
+raw coordinate pairs of reduced residues, which are also their
+enumeration rank: products are reduced with ResidueRing.reduce_pair and
+colors are kept by pair, so no EInt is built per residue.  The test suite
+checks queries in any order against an EInt-based greedy oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from eulab.core import (
     EInt, ONE, ResidueRing, divides, exact_div, gcd, valuation,
@@ -81,12 +81,20 @@ def _is_prime_e(pi: EInt) -> bool:
     return is_prime(n) or (q * q == n and q % 3 == 2 and is_prime(q))
 
 
-def _prime_power_units(ring: ResidueRing, pi: EInt) -> list[EInt]:
-    """The reduced representatives of ring = E/(pi^k) for a prime pi, in
-    enumeration order.  Such an r is a unit exactly when pi does not divide
-    it, which saves a Euclidean gcd per residue (the test suite's
-    reduced_representatives oracle keeps that gcd)."""
-    return [r for r in ring.representatives() if not divides(pi, r)]
+def _unit_pairs(ring: ResidueRing, pi: EInt) -> Iterator[tuple[int, int]]:
+    """The coordinate pairs of the reduced representatives of ring =
+    E/(pi^k) for a prime pi, in enumeration order.  Such a pair is a unit
+    exactly when pi does not divide it: some coordinate of
+    (i + j w) * conj(pi) is not a multiple of N(pi) (the conj-product test
+    of core.divides), which saves an EInt and a Euclidean gcd per residue
+    (the test suite's reduced_representatives oracle keeps that gcd)."""
+    pa, pb = pi.a, pi.b
+    n = pa * pa - pa * pb + pb * pb
+    d2 = ring.d2
+    for i in range(ring.d1):
+        for j in range(d2):
+            if (i * pa - i * pb + j * pb) % n or (j * pa - i * pb) % n:
+                yield i, j
 
 
 def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
@@ -100,12 +108,12 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
     if k < 1:
         raise ValueError("exponent must be positive")
     ring = ResidueRing(pi ** k)
-    assignment: dict[EInt, int] = {}
-    for r in _prime_power_units(ring, pi):
-        if r in assignment:
-            continue
-        assignment[r] = 0
-        assignment[ring.reduce(-r)] = 1
+    colors: dict[tuple[int, int], int] = {}
+    for a, b in _unit_pairs(ring, pi):
+        if (a, b) not in colors:
+            colors[a, b] = 0
+            colors[ring.reduce_pair(-a, -b)] = 1
+    assignment = {EInt(a, b): c for (a, b), c in colors.items()}
     return Coloring(ring, pi, 2, assignment)
 
 
@@ -122,18 +130,25 @@ def _lazy_uv_group(ring: ResidueRing, key: tuple[int, int],
     return got
 
 
-def _three_setup(pi: EInt, rho0: EInt, delta: int | None = None,
-                 ) -> tuple[int, ResidueRing, tuple[int, int], tuple[int, int]]:
-    """The ring of the 3-group split for rho0 coprime to pi: delta =
-    v(1 + rho0) (unless the caller already knows it), the ring mod
-    pi^(delta+1), and -rho0 and -rho0^(-1) there as reduced coordinate
-    pairs."""
-    if delta is None:
-        delta = valuation(pi, ONE + rho0)
+def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
+    """(gamma, rho0, delta) for nonzero rho: gamma = v(rho), rho0 =
+    rho / pi^gamma, and delta = v(1 + rho0), or None when rho0 = -1."""
+    gamma = valuation(pi, rho)
+    rho0 = exact_div(rho, pi ** gamma) if gamma else rho
+    if rho0 == MINUS_ONE:
+        return gamma, rho0, None
+    return gamma, rho0, valuation(pi, ONE + rho0)
+
+
+def _three_setup(pi: EInt, rho0: EInt, delta: int,
+                 ) -> tuple[ResidueRing, tuple[int, int], tuple[int, int]]:
+    """The ring of the 3-group split for rho0 coprime to pi with
+    delta = v(1 + rho0): the ring mod pi^(delta+1), and -rho0 and
+    -rho0^(-1) there as reduced coordinate pairs."""
     ring = ResidueRing(pi ** (delta + 1) if delta else pi)
     inv = ring.inverse(rho0)
     reduce_pair = ring.reduce_pair
-    return (delta, ring, reduce_pair(-rho0.a, -rho0.b),
+    return (ring, reduce_pair(-rho0.a, -rho0.b),
             reduce_pair(-inv.a, -inv.b))
 
 
@@ -147,10 +162,10 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
     second; a residue never collides with itself because that would force
     pi^(delta+1) | 1 + rho0.
 
-    The pass runs on the coordinate pairs (i, j) of the ring's box: a pair
-    is skipped when pi divides it (the conj-product test of core.divides),
-    neighbors are reduced with ring.reduce_pair, and EInt keys are built
-    once, for the finished assignment.
+    The pass is _three_group queried on each unit pair in enumeration
+    order: every earlier neighbor already has its group then, so the walk
+    never recurses and its memo fills in enumeration order.  EInt keys are
+    built once, for the finished assignment.
     """
     if not _is_prime_e(pi):
         raise ValueError("coloring needs a non-unit prime")
@@ -158,69 +173,52 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
         raise ValueError("rho0 = -1 has no finite delta")
     if divides(pi, rho0):
         raise ValueError("rho0 must be coprime to the prime")
-    delta, ring, (na, nb), (ia, ib) = _three_setup(pi, rho0)
-    reduce_pair = ring.reduce_pair
-    pa, pb = pi.a, pi.b
-    n = pa * pa - pa * pb + pb * pb
-    colors: dict[tuple[int, int], int] = {}
-    get = colors.get
-    d2 = ring.d2
-    for i in range(ring.d1):
-        for j in range(d2):
-            # pi | i + j w: both coordinates of (i + j w) * conj(pi) are
-            # multiples of N(pi)
-            if (i * pa - i * pb + j * pb) % n == 0 and \
-                    (j * pa - i * pb) % n == 0:
-                continue
-            # (i + j w)(ma + mb w) with w^2 = -1 - w
-            g1 = get(reduce_pair(i * na - j * nb, i * nb + na * j - j * nb))
-            g2 = get(reduce_pair(i * ia - j * ib, i * ib + ia * j - j * ib))
-            c = 0
-            while c == g1 or c == g2:
-                c += 1
-            colors[i, j] = c
-    assignment = {EInt(a, b): c for (a, b), c in colors.items()}
+    delta = valuation(pi, ONE + rho0)
+    ring, neg, neg_inv = _three_setup(pi, rho0, delta)
+    memo: dict[tuple[int, int], int] = {}
+    for key in _unit_pairs(ring, pi):
+        _three_group(ring, neg, neg_inv, key, memo)
+    assignment = {EInt(a, b): c for (a, b), c in memo.items()}
     return Coloring(ring, pi, 3, assignment, delta=delta)
 
 
 def _three_group(ring: ResidueRing, neg: tuple[int, int],
                  neg_inv: tuple[int, int], key: tuple[int, int],
                  memo: dict[tuple[int, int], int]) -> int:
-    """Greedy color of the reduced residue with coordinate pair key,
-    replaying only the earlier-enumerated dependency chain; matches
-    three_coloring exactly.  Reduced residues enumerate in (a, b) order,
-    so a pair is its rank; the walk and the memo stay on such pairs, each
-    product with the multiplier pairs neg and neg_inv reduced by
-    ring.reduce_pair."""
+    """three_coloring's group of the reduced residue with coordinate pair
+    key.  Reduced residues enumerate in (a, b) order, so a pair is its
+    rank, and a residue's group depends only on the groups of its
+    neighbors, its products with the multiplier pairs neg and neg_inv,
+    that rank below it.  The walk keeps a stack of pairs: the top reduces
+    its two neighbors with ring.reduce_pair, pushes the earlier ones the
+    memo lacks, and once none is missing takes the least group they leave
+    free.  A pair pushed twice is colored again to the same group."""
     got = memo.get(key)
     if got is not None:
         return got
     reduce_pair = ring.reduce_pair
-    mults = neg, neg_inv
+    get = memo.get
+    (na, nb), (ia, ib) = neg, neg_inv
     stack = [key]
     while stack:
         cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
         a, b = cur
-        nbrs = []
-        missing = []
-        for ma, mb in mults:
-            # (a + b w)(ma + mb w) with w^2 = -1 - w
-            n = reduce_pair(a * ma - b * mb, a * mb + ma * b - b * mb)
-            if n < cur:
-                nbrs.append(n)
-                if n not in memo:
-                    missing.append(n)
-        if missing:
-            stack.extend(missing)
+        # (a + b w)(ma + mb w) with w^2 = -1 - w; -1 stands for a later
+        # neighbor, which leaves every group free
+        n1 = reduce_pair(a * na - b * nb, a * nb + na * b - b * nb)
+        n2 = reduce_pair(a * ia - b * ib, a * ib + ia * b - b * ib)
+        g1 = get(n1) if n1 < cur else -1
+        g2 = get(n2) if n2 < cur else -1
+        if g1 is None or g2 is None:
+            if g1 is None:
+                stack.append(n1)
+            if g2 is None:
+                stack.append(n2)
             continue
-        used = {memo[n] for n in nbrs}
-        for c in (0, 1, 2):
-            if c not in used:
-                memo[cur] = c
-                break
+        c = 0
+        while c == g1 or c == g2:
+            c += 1
+        memo[cur] = c
         stack.pop()
     return memo[key]
 
@@ -264,14 +262,8 @@ def c_constants(rho: EInt) -> RhoConstants:
     tau = 6
     if not product.is_unit():
         for pi, _ in factor_e(product).factors:
-            gamma = valuation(pi, rho)
-            rho0 = exact_div(rho, pi ** gamma)
-            if rho0 == MINUS_ONE:
-                delta: int | None = None
-                c = gamma
-            else:
-                delta = valuation(pi, ONE + rho0)
-                c = gamma + delta
+            gamma, _, delta = _rho_parts(pi, rho)
+            c = gamma + (delta or 0)
             constants.append(PrimeConstant(pi, gamma, delta, c))
             c_rho = c_rho * pi ** c
             tau *= c + 1
@@ -283,11 +275,8 @@ def c_constants(rho: EInt) -> RhoConstants:
 def c_exponent(pi: EInt, rho: EInt) -> int:
     """c(pi, rho) for an arbitrary canonical prime (0 when pi is inert
     to both rho and 1+rho)."""
-    gamma = valuation(pi, rho)
-    rho0 = exact_div(rho, pi ** gamma)
-    if rho0 == MINUS_ONE:
-        return gamma
-    return gamma + valuation(pi, ONE + rho0)
+    gamma, _, delta = _rho_parts(pi, rho)
+    return gamma + (delta or 0)
 
 
 # --------------------------------------------------------------------------
@@ -322,16 +311,13 @@ def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
     # to valuation, which rejects it
     npi = pi.norm()
     if npi > 1 and rho.norm() % npi and (ONE + rho).norm() % npi:
-        rho0 = rho
-        delta: int | None = 0
+        rho0, delta = rho, 0
     else:
-        gamma = valuation(pi, rho)
-        rho0 = exact_div(rho, pi ** gamma) if gamma else rho
-        if rho0 == MINUS_ONE:
+        _, rho0, delta = _rho_parts(pi, rho)
+        if delta is None:
             raise ValueError(
                 "-rho is a power of the prime; use valuation_split")
-        delta = None
-    _, ring, neg, neg_inv = _three_setup(pi, rho0, delta)
+    ring, neg, neg_inv = _three_setup(pi, rho0, delta)
     reduce_pair = ring.reduce_pair
     memo: dict[tuple[int, int], int] = {}
     buckets: list[list[EInt]] = [[], [], []]

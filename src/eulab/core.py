@@ -369,13 +369,7 @@ def _xgcd_int(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def unit_inverse(u: EInt) -> EInt:
-    if not u.is_unit():
-        raise ValueError(f"{u} is not a unit")
-    return u.conj()
-
-
 __all__ = [
     "COORD_BOUND", "EInt", "ZERO", "ONE", "OMEGA", "UNITS", "LAMBDA",
-    "gcd", "divides", "exact_div", "valuation", "ResidueRing", "unit_inverse",
+    "gcd", "divides", "exact_div", "valuation", "ResidueRing",
 ]

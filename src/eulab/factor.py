@@ -16,9 +16,10 @@ The primes of a product of quadratic-form values a^2 +- a*b + b^2 over the
 pairs of a set are sieved along root progressions, as the quadratic sieve
 walks them (Pomerance 1982), rather than factored value by value.  The
 Eisenstein pair products a + rho*b are sieved the same way in E: each
-prime above a sieve prime maps E onto its residue field, and the pairs it
-divides are matched class by class.  Both sieves hand the cofactors the
-table cannot settle to _factor_hard.
+prime above a sieve prime maps E onto its residue field.  In both sieves
+a prime divides a pair's value exactly when a residue of a equals a
+residue of b, so one join (_joined) lists the pairs it divides.  Both
+sieves hand the cofactors the table cannot settle to _factor_hard.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from eulab.core import COORD_BOUND, EInt, divides, exact_div, gcd
 
@@ -231,8 +232,30 @@ def _factor_hard(m: int, counts: dict[int, int], bound: int) -> None:
         stack.append(v // d)
 
 
-def omega_n(n: int) -> int:
-    return factor_rational(n).omega
+def _joined(akeys: Sequence[int], bkeys: Sequence[int], base: Sequence[int],
+            ordered: bool) -> list[int]:
+    """The indices base[i] + j (plus 1 when j < i) of the pairs (i, j)
+    with akeys[i] == bkeys[j]: pairs i < j, or every i != j when ordered.
+    The a side is bucketed by key once; each b key then reads its
+    bucket."""
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(akeys):
+        classes.setdefault(c, []).append(i)
+    if ordered:
+        return [base[i] + j + (j < i) for j, c in enumerate(bkeys)
+                for i in classes.get(c, ()) if i != j]
+    return [base[i] + j for j, c in enumerate(bkeys)
+            for i in classes.get(c, ()) if i < j]
+
+
+def _divide_out(vals: list[int], hits: Iterable[int], p: int) -> None:
+    """Divide p out of vals[k] completely for each k in hits; p divides
+    each of them."""
+    for k in hits:
+        v = vals[k] // p
+        while v % p == 0:
+            v //= p
+        vals[k] = v
 
 
 def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
@@ -241,11 +264,13 @@ def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
     increasing order.
 
     The pair values are sieved one prime p at a time.  For p not dividing
-    a, p divides a^2 + s*a*b + b^2 exactly when b = s*a*r (mod p) for a
-    root r of x^2 + x + 1 mod p; for p | a, exactly when p | b.  So the
-    elements are bucketed by residue mod p, each class is matched with
-    the classes s*r times its residue (class 0 with itself), and every
-    hit divides p out of its pair value completely.  The primes come from
+    b, p divides a^2 + s*a*b + b^2 exactly when a = s*r*b (mod p) for a
+    root r of x^2 + x + 1 mod p; for p | b, exactly when p | a.  The
+    roots are r and 1/r, so with t = s*r that is a = t*b or b = t*a:
+    _joined matches a mod p against t*b mod p and t*a against b.  A p
+    without roots divides only pairs of multiples of p and matches class
+    0 with class 0 alone, once two elements are in it.  Every hit divides
+    p out of its pair value completely.  The primes come from
     sieve_primes(), up to isqrt of the largest pair value but no further
     than _PAIR_SIEVE_BOUND.  A cofactor c > 1 left over is prime when
     every prime up to isqrt(c) was sieved; any other goes to _factor_hard.
@@ -269,30 +294,25 @@ def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
                                               _PAIR_SIEVE_BOUND))]
     found = []
     for p in primes:
-        roots = [s * r % p for r in _roots_x2_x_1(p)]
+        keys = [a % p for a in elements]
+        roots = _roots_x2_x_1(p)
         if roots:
-            classes: dict[int, list[int]] = {}
-            for i, a in enumerate(elements):
-                classes.setdefault(a % p, []).append(i)
+            # a = t*b with t = s*r for the first root r; the other root is
+            # 1/r, and a = s*b/r is b = t*a, the same join with its sides
+            # swapped (for p = 3, r = 1/r = 1 and the two joins agree)
+            scaled = [s * roots[0] * c % p for c in keys]
+            joins = (keys, scaled), (scaled, keys)
+        elif keys.count(0) > 1:
+            # a class -1 matches nothing: class 0 joins class 0 alone
+            joins = ((keys, [-1 if c else 0 for c in keys]),)
         else:
-            classes = {0: [i for i, a in enumerate(elements) if a % p == 0]}
-        hit = False
-        for c, left in classes.items():
-            for t in (c * r % p for r in roots) if c else (0,):
-                right = classes.get(t)
-                if right is None:
-                    continue
-                for i in left:
-                    for j in right:
-                        if j > i:
-                            k = off[i] + j
-                            v = vals[k] // p
-                            while v % p == 0:
-                                v //= p
-                            vals[k] = v
-                            hit = True
-        if hit:
+            continue
+        # both joins hold the pairs of class 0: the set counts them once
+        hits = {k for left, right in joins
+                for k in _joined(left, right, off, False)}
+        if hits:
             found.append(p)
+            _divide_out(vals, hits, p)
     # Every prime below bound was sieved (primes is empty when top < 4).
     bound = (primes[-1] if primes else 1) + 1
     settled_sq = bound * bound
@@ -321,9 +341,9 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     prime pi above p gives a ring map h onto E/(pi): for p = 3 or p = 1
     mod 3, omega goes to the root w of x^2 + x + 1 mod p that names
     pi = gcd(p, w - omega), and an inert p keeps both coordinates mod p.
-    As pi | a + rho*b exactly when h(a) = -h(rho)*h(b), the elements are
-    bucketed by h, each class c on the b side is matched with the class
-    -h(rho)*c on the a side, and every hit divides p out of its pair's
+    As pi | a + rho*b exactly when h(a) = h(-rho*b), _joined matches the
+    residues h(a) against the residues h(-rho*b), read off the coordinates
+    of rho*b already at hand, and every hit divides p out of its pair's
     norm completely.  The primes come from sieve_primes(), up to isqrt of
     the largest norm but no further than _PAIR_SIEVE_BOUND or the number
     of pairs.  A norm cofactor m > 1 left over is prime when the sieved
@@ -388,40 +408,19 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     for p in primes:
         if p % 3 == 2:
             # E/(p) = F_p[omega]; the residue (c0, c1) is coded c0 + p*c1
-            keys = [x % p + p * (y % p) for x, y in coords]
-            s, t = -r1 % p, -r2 % p
-
-            def target(c: int) -> int:
-                c0, c1 = c % p, c // p
-                return ((s * c0 - t * c1) % p
-                        + p * ((s * c1 + t * c0 - t * c1) % p))
-
-            maps = [(EInt(p, 0), keys, target)]
+            maps = [(EInt(p, 0), [x % p + p * (y % p) for x, y in coords],
+                     [-u % p + p * (-v % p) for u, v in twisted])]
         else:
             maps = [(pi, [(x + y * w) % p for x, y in coords],
-                     lambda c, mult=-(r1 + r2 * w) % p: mult * c % p)
+                     [-(u + v * w) % p for u, v in twisted])
                     for pi, w in _primes_above(p)]
         hits: set[int] = set()
-        for pi, keys, target in maps:
-            classes: dict[int, list[int]] = {}
-            for i, c in enumerate(keys):
-                classes.setdefault(c, []).append(i)
-            matched = [(left, right) for c, right in classes.items()
-                       if (left := classes.get(target(c))) is not None]
-            if ordered:
-                ks = [base[i] + j + (j < i) for left, right in matched
-                      for i in left for j in right if j != i]
-            else:
-                ks = [base[i] + j for left, right in matched
-                      for i in left for j in right if j > i]
+        for pi, keys, targets in maps:
+            ks = _joined(keys, targets, base, ordered)
             if ks:
                 found.add(pi)
                 hits.update(ks)
-        for k in hits:
-            v = norms[k] // p
-            while v % p == 0:
-                v //= p
-            norms[k] = v
+        _divide_out(norms, hits, p)
 
     # A cofactor below settled_sq has no prime factor up to its root.
     settled_sq = (settled + 1) ** 2
@@ -447,27 +446,6 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
                     _primes_above(q)) if (x + y * w) % q == 0)
     found.update(_primes_above(q)[k][0] for q, k in named)
     return tuple(sorted(found, key=lambda x: (x.norm(), x.a, x.b))), None
-
-
-def classify_prime(p: int) -> str:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 3:
-        return "ramified"
-    return "split" if p % 3 == 1 else "inert"
-
-
-def split_prime(p: int) -> EInt:
-    """The canonical prime above a rational prime p = 1 mod 3.
-
-    A cube root of unity r mod p gives p | N(r - omega), so gcd(p, r - omega)
-    drops to a norm-p element.  r is the first root _roots_x2_x_1(p)
-    gives; which of the two conjugates comes back depends on that choice
-    alone, and callers sort the primes they collect.
-    """
-    if classify_prime(p) != "split":
-        raise ValueError(f"{p} does not split (p mod 3 != 1)")
-    return _primes_above(p)[0][0]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -513,6 +491,6 @@ def tau_e(x: EInt) -> int:
 __all__ = [
     "INT64_MAX", "RationalFactorization", "EFactorization", "sieve_primes",
     "prime_pi", "is_prime",
-    "factor_rational", "omega_n", "pair_form_primes", "pair_e_primes",
-    "classify_prime", "split_prime", "factor_e", "omega_e", "tau_e",
+    "factor_rational", "pair_form_primes", "pair_e_primes",
+    "factor_e", "omega_e", "tau_e",
 ]

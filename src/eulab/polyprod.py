@@ -25,10 +25,16 @@ class SparsePolySpec:
     m: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # exact types: a float such as 2.0, a numeric string or a bool
+        # (an int subclass) is refused, not coerced
+        if type(self.n) is not int:
+            raise ValueError("n must be an integer")
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        object.__setattr__(self, "r", tuple(self.r))
+        object.__setattr__(self, "m", tuple(self.m))
+        if any(type(v) is not int for v in self.r + self.m):
+            raise ValueError("coefficients and exponents must be integers")
         if len(self.r) != self.n:
             raise ValueError(f"expected {self.n} coefficients")
         if len(self.m) != self.n - 1:

@@ -15,7 +15,7 @@ from eulab.bounds import (
     coset_split, phi, random_eint_set, random_int_set, run_trials,
     three_coloring, uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
-    _above_log, _lazy_uv_group, _prime_power_units, _three_group,
+    _above_log, _lazy_uv_group, _three_group, _unit_pairs,
 )
 from oracles import (
     _canonical_of_norm, _trial_division_primes, reduced_representatives,
@@ -25,6 +25,21 @@ from oracles import (
 MINUS_ONE = EInt(-1, 0)
 
 SMALL_ODD_PRIMES = [LAMBDA, EInt(3, 1), EInt(3, 2), EInt(4, 1), EInt(5, 0)]
+
+
+def _assert_any_order(want, group):
+    """group(key, memo) gives want[r] for the pair key of every residue r,
+    queried once each with a fresh memo and then all in a shuffled order
+    sharing one memo: a walk whose answer depends on what an earlier query
+    left in the memo fails the second pass."""
+    keys = [(r.a, r.b) for r in want]
+    for key, value in zip(keys, want.values()):
+        assert group(key, {}) == value, key
+    shuffled = keys[:]
+    random.Random(len(keys)).shuffle(shuffled)
+    memo = {}
+    got = {key: group(key, memo) for key in shuffled}
+    assert got == dict(zip(keys, want.values()))
 
 
 class TestUvColoring:
@@ -45,11 +60,18 @@ class TestUvColoring:
 
     @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
     def test_lazy_matches_eager(self, pi):
+        # the +- rule on EInts: the first of each pair met in enumeration
+        # order takes group 0
         col = uv_coloring(pi, 1)
-        memo = {}
-        for r in reduced_representatives(col.ring):
-            assert _lazy_uv_group(col.ring, (r.a, r.b), memo) == \
-                col.assignment[r]
+        ring = col.ring
+        want = {}
+        for r in reduced_representatives(ring):
+            if r not in want:
+                want[r] = 0
+                want[ring.reduce(-r)] = 1
+        assert list(col.assignment.items()) == list(want.items())
+        _assert_any_order(want, lambda key, memo:
+                          _lazy_uv_group(ring, key, memo))
 
     def test_rejects_even_norm_and_units(self):
         with pytest.raises(ValueError):
@@ -66,8 +88,8 @@ class TestUvColoring:
 ])
 def test_prime_power_units_match_gcd_oracle(pi, k):
     ring = ResidueRing(pi ** k)
-    assert _prime_power_units(ring, pi) == \
-        reduced_representatives(ring)
+    assert list(_unit_pairs(ring, pi)) == \
+        [(r.a, r.b) for r in reduced_representatives(ring)]
 
 
 def test_colorings_reject_non_primes():
@@ -134,15 +156,13 @@ class TestThreeColoring:
 
     @pytest.mark.parametrize("pi,rho0", CASES)
     def test_lazy_matches_eager(self, pi, rho0):
-        col = three_coloring(pi, rho0)
-        ring = col.ring
+        _, modulus, want = three_coloring_greedy(pi, rho0)
+        ring = ResidueRing(modulus)
         neg = ring.reduce(-rho0)
         neg_inv = ring.reduce(-ring.inverse(rho0))
         mults = (neg.a, neg.b), (neg_inv.a, neg_inv.b)
-        memo = {}
-        for r in reduced_representatives(ring):
-            assert _three_group(ring, *mults, (r.a, r.b), memo) == \
-                col.assignment[r]
+        _assert_any_order(want, lambda key, memo:
+                          _three_group(ring, *mults, key, memo))
 
     @pytest.mark.parametrize("pi,rho0,delta", _oracle_cases())
     def test_matches_greedy_oracle(self, pi, rho0, delta):

@@ -605,6 +605,25 @@ class TestPolyprod:
         assert out == ""
         assert "eulab: f(2,2) exceeds the 64-bit factoring range" in err
 
+    @pytest.mark.parametrize("spec", [
+        {"n": 2.0, "r": [1, 1], "m": [1]},
+        {"n": 2, "r": [1.5, 1], "m": [1]},
+        {"n": 2, "r": [1, 1], "m": [1.7]},
+        {"n": 2, "r": ["1", 1], "m": [1]},
+        {"n": 2, "r": [1, 1], "m": [True]},
+    ])
+    def test_non_integer_spec_exits_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(spec))
+        a = write_set(tmp_path, "a.txt", ["1", "2"])
+        code, out, err = run_cli(
+            ["polyprod", "--poly", str(path), "--set-a", a, "--set-b", a],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be an integer" in err or "must be integers" in err
+        assert "Traceback" not in err
+
     def test_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"n": 3, "r": [1, 1, 1]}))

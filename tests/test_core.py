@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from eulab.core import (
     COORD_BOUND, EInt, LAMBDA, OMEGA, ONE, UNITS, ZERO, ResidueRing,
-    divides, exact_div, gcd, unit_inverse, valuation,
+    divides, exact_div, gcd, valuation,
 )
 from eulab.core import _xgcd
 from oracles import reduced_representatives
@@ -50,13 +50,6 @@ def test_units_are_powers_of_one_plus_omega():
         assert acc == u
         acc = acc * base
     assert acc == ONE  # order six
-
-
-def test_unit_inverse():
-    for u in UNITS:
-        assert u * unit_inverse(u) == ONE
-    with pytest.raises(ValueError):
-        unit_inverse(EInt(2, 1))
 
 
 # ----------------------------------------------------- norm and conjugate

@@ -11,9 +11,9 @@ from eulab.core import (
     EInt, LAMBDA, OMEGA, ONE, UNITS, ZERO, divides, gcd, valuation,
 )
 from eulab.factor import (
-    INT64_MAX, _primes_above, _roots_x2_x_1, _sieve, classify_prime,
-    factor_e, factor_rational, is_prime, omega_e, omega_n, pair_e_primes,
-    pair_form_primes, prime_pi, sieve_primes, split_prime, tau_e,
+    INT64_MAX, _primes_above, _roots_x2_x_1, _sieve, factor_e,
+    factor_rational, is_prime, omega_e, pair_e_primes, pair_form_primes,
+    prime_pi, sieve_primes, tau_e,
 )
 from eulab.search import MAX_TABLE_ELEMENT
 from oracles import (
@@ -162,31 +162,10 @@ def test_sieve_primes_end_at_4093():
                       if _is_prime_by_trial_division(p)]
 
 
-def test_classify_prime():
-    assert classify_prime(3) == "ramified"
-    assert classify_prime(7) == "split"
-    assert classify_prime(2) == "inert"
-    assert classify_prime(5) == "inert"
-    assert classify_prime(13) == "split"
-    with pytest.raises(ValueError):
-        classify_prime(6)
-
-
-def test_split_prime():
-    pi = split_prime(7)
-    assert pi.norm() == 7
-    assert pi.is_canonical()
-    pi = split_prime(13)
-    assert pi.norm() == 13
-    with pytest.raises(ValueError):
-        split_prime(5)
-
-
 def test_split_prime_pairs_match_norm_oracle():
     # 3, every split p < 10^4 and a few near 10^6: _primes_above(p) lists
     # the canonical elements of norm p, one per root w of x^2 + x + 1 mod
-    # p, and each divides w - omega, so it maps omega to w.  split_prime
-    # is the first of them.
+    # p, and each divides w - omega, so it maps omega to w.
     near_million = [p for p in _sieve(10**6 + 200)
                     if p > 10**6 - 200 and p % 3 == 1]
     assert len(near_million) >= 5
@@ -197,11 +176,6 @@ def test_split_prime_pairs_match_norm_oracle():
         assert {pi for pi, _ in above} == set(_canonical_of_norm(p)), p
         for pi, w in above:
             assert divides(pi, EInt(w, -1)), (p, w)
-        if p != 3:
-            assert split_prime(p) == above[0][0], p
-    for p in (3, 5):
-        with pytest.raises(ValueError):
-            split_prime(p)
 
 
 def test_factor_e_examples():
@@ -279,8 +253,8 @@ def test_factor_e_roundtrip(x):
 def test_omega_examples():
     assert omega_e(EInt(6, 0)) == 2
     assert omega_e(EInt(1, 0)) == 0
-    assert omega_n(1729) == 3
-    assert omega_n(1) == 0
+    assert factor_rational(1729).omega == 3
+    assert factor_rational(1).omega == 0
 
 
 def test_tau_examples():

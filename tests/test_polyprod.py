@@ -36,6 +36,12 @@ class TestSpec:
             SparsePolySpec(3, (1, 1, 1), (2, -1))
         with pytest.raises(ValueError):
             SparsePolySpec(3, (1, 1), (2, 1))
+        # integers only: no float, numeric string or bool is coerced
+        for n, r, m in [(2.0, (1, 1), (1,)), (2, (1.5, 1), (1,)),
+                        (2, (1, 1), (1.7,)), (2, ("1", 1), (1,)),
+                        (2, (1, 1), (True,)), (True, (1,), ())]:
+            with pytest.raises(ValueError):
+                SparsePolySpec(n, r, m)
 
 
 class TestBuildVectors:
