@@ -12,7 +12,6 @@ gcds and prime factorizations.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 # Coordinates are declared 64-bit signed.  Python integers never wrap, so
 # the contract "overflow is detected and reported" is an explicit range
@@ -294,8 +293,8 @@ class ResidueRing:
     the matrix [[a, -b], [b, a-b]].  Column reduction to Hermite form
     [[d1, 0], [c, d2]] turns the quotient into the box {0..d1-1} x
     {0..d2-1}, which has exactly norm(mu) = d1*d2 points.  Representatives
-    are enumerated in lexicographic (i, j) order and reduce() is the
-    idempotent map onto them.
+    are the points of that box, enumerated in lexicographic (i, j) order,
+    and reduce() is the idempotent map onto them.
     """
 
     __slots__ = ("modulus", "d1", "d2", "c", "size")
@@ -325,11 +324,6 @@ class ResidueRing:
         Builds no EInt, so u and v may leave the 64-bit range."""
         k = u // self.d1
         return u - k * self.d1, (v - k * self.c) % self.d2
-
-    def representatives(self) -> Iterator[EInt]:
-        for i in range(self.d1):
-            for j in range(self.d2):
-                yield EInt(i, j)
 
     def inverse(self, x: EInt) -> EInt:
         """The reduced inverse of x mod mu.

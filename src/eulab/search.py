@@ -19,16 +19,17 @@ The pair table is line-sieved rather than factored pair by pair: in row
 a, a prime p divides a^2 + a*b + b^2 along the progressions b = a*r
 (mod p), r a root of x^2 + x + 1 mod p, or b = 0 (mod p) when p | a, as
 the quadratic sieve walks root progressions (Pomerance 1982).  The
-table keeps each pair's primes as the sieve leaves them, one increasing
-list per pair in rows by first element.  For a search they become int
-bitmasks, unioned with | and counted with bit_count() as in
-bit-parallel clique search (San Segundo et al. 2011): primes shared by
-two or more pairs in range take one bit each, most frequent first, and
-a prime of a single pair is kept as a per-pair count, since it joins a
-union exactly when its pair is chosen.  Workers are forked processes
-that split the first elements, each with its own incumbent, and share
-nothing but the read-only row table, so node counts do not depend on
-timing.
+table keeps each pair's primes as the sieve leaves them, increasing, but
+packs every row (by first element) into two flat typed arrays, the
+concatenated primes and the offsets where each pair starts, so it holds
+no Python object per pair.  For a search the pairs' primes become int
+bitmasks, unioned with | and counted with bit_count() as in bit-parallel
+clique search (San Segundo et al. 2011): primes shared by two or more
+pairs in range take one bit each, most frequent first, and a prime of a
+single pair is kept as a per-pair count, since it joins a union exactly
+when its pair is chosen.  Workers are forked processes that split the
+first elements, each with its own incumbent, and share nothing but the
+read-only row table, so node counts do not depend on timing.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import collections
 import contextlib
 import itertools
 import math
-import multiprocessing
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,14 +47,22 @@ from typing import Sequence
 from eulab.factor import _roots_x2_x_1, sieve_primes
 
 MAX_TABLE_ELEMENT = 2000
+# An unsigned int, 32 bits wide on every platform CPython supports (the
+# tests check it), holds every pair value below
+# 3 * MAX_TABLE_ELEMENT^2 = 12,000,000 and so every prime and every row
+# offset of the pair table.
+PRIME_TYPECODE = "I"
 
 
 class PairPrimeCache:
     """Prime sets of a^2 + a*b + b^2 for all 1 <= a < b <= max_element.
 
-    rows[a - 1][b - a - 1] is the increasing list of the primes of
-    a^2 + a*b + b^2, so row a - 1 lists the pairs (a, b) for
-    b = a + 1..max_element in order.
+    Row a - 1 holds the pairs (a, b) for b = a + 1..max_element in order,
+    packed into two flat arrays of PRIME_TYPECODE: primes[a - 1] is the
+    concatenation of the pairs' increasing prime lists, and the primes of
+    the pair (a, b) are primes[a - 1][o[i]:o[i + 1]] for
+    o = offsets[a - 1] and i = b - a - 1.  A smaller max_element reads
+    offset prefixes of the same rows.
 
     The table is line-sieved row by row.  In row a a prime p divides
     a^2 + a*b + b^2 exactly when b = 0 (mod p) if p | a, and otherwise when
@@ -72,11 +81,12 @@ class PairPrimeCache:
         primes = sieve_primes()
         roots = [(p, _roots_x2_x_1(p))
                  for p in primes[:bisect_right(primes, math.isqrt(3 * m * m))]]
-        # rows[a - 1][i] holds the primes of the pair (a, a + 1 + i)
-        self.rows: list[list[list[int]]] = []
+        self.primes: list[array] = []
+        self.offsets: list[array] = []
         for a in range(1, m):
             # Primes are appended in increasing order, and a prime
             # cofactor exceeds every sieve prime, so each list is sorted.
+            # The per-pair lists live only until their row is packed.
             n = m - a
             vals = [a * a + a * b + b * b for b in range(a + 1, m + 1)]
             row: list[list[int]] = [[] for _ in range(n)]
@@ -92,7 +102,10 @@ class PairPrimeCache:
             for v, ps in zip(vals, row):
                 if v > 1:
                     ps.append(v)
-            self.rows.append(row)
+            self.offsets.append(array(PRIME_TYPECODE, itertools.accumulate(
+                map(len, row), initial=0)))
+            self.primes.append(array(PRIME_TYPECODE,
+                                     itertools.chain.from_iterable(row)))
 
 
 @dataclass(frozen=True)
@@ -129,20 +142,21 @@ def _row_table(cache: PairPrimeCache, max_element: int,
     smaller prime), so the primes most unions share take the low bits.
     A prime of a single pair value joins a union exactly when its pair
     is chosen, so it needs no bit: it is counted with the pair."""
-    # rows[a - 1][b - a - 1] holds the primes of the pair (a, b)
-    rows = [row[:max_element - a]
-            for a, row in enumerate(cache.rows[:max_element - 1], 1)]
+    m = max_element
+    # rows[a - 1] is (primes, offsets) of row a; its pairs (a, b) with
+    # b <= m end at offset m - a
+    rows = list(zip(cache.primes[:m - 1], cache.offsets))
     freq = collections.Counter(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(rows)))
+        ps[:o[m - a]] for a, (ps, o) in enumerate(rows, 1)))
     shared = sorted((p for p, n in freq.items() if n > 1),
                     key=lambda p: (-freq[p], p))
     bit = {p: j for j, p in enumerate(shared)}
-    pm = [[0] * (max_element + 1) for _ in range(max_element + 1)]
-    sc = [[0] * (max_element + 1) for _ in range(max_element + 1)]
-    for a, row in enumerate(rows, 1):
-        for b, ps in enumerate(row, a + 1):
+    pm = [[0] * (m + 1) for _ in range(m + 1)]
+    sc = [[0] * (m + 1) for _ in range(m + 1)]
+    for a, (ps, o) in enumerate(rows, 1):
+        for i, b in enumerate(range(a + 1, m + 1)):
             mask = singles = 0
-            for p in ps:
+            for p in ps[o[i]:o[i + 1]]:
                 if p in bit:
                     mask |= 1 << bit[p]
                 else:
@@ -268,8 +282,11 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
     check_search(k, max_element, workers)
     starts = max_element - k + 1
     workers = min(workers, starts)
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        workers = 1
+    if workers > 1:
+        # Imported here, as only a run that forks workers needs it.
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
 
     start = time.perf_counter()
     slices = [range(w + 1, starts + 1, workers) for w in range(workers)]
@@ -298,5 +315,5 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
         nodes_visited=nodes, seconds=seconds)
 
 
-__all__ = ["MAX_TABLE_ELEMENT", "PairPrimeCache", "SearchResult",
-           "check_search", "run_search"]
+__all__ = ["MAX_TABLE_ELEMENT", "PRIME_TYPECODE", "PairPrimeCache",
+           "SearchResult", "check_search", "run_search"]

@@ -40,10 +40,16 @@ def is_reduced_residue(ring: ResidueRing, x: EInt) -> bool:
     return gcd(x, ring.modulus).is_unit()
 
 
+def representatives(ring: ResidueRing) -> list[EInt]:
+    """Every representative of ring in enumeration order: i + j*omega over
+    the box 0 <= i < d1, 0 <= j < d2, i major."""
+    return [EInt(i, j) for i in range(ring.d1) for j in range(ring.d2)]
+
+
 def reduced_representatives(ring: ResidueRing) -> list[EInt]:
     """The invertible representatives of ring, in enumeration order, by
     the Euclidean gcd of each with the modulus."""
-    return [r for r in ring.representatives() if is_reduced_residue(ring, r)]
+    return [r for r in representatives(ring) if is_reduced_residue(ring, r)]
 
 
 def three_coloring_greedy(pi: EInt, rho0: EInt):
@@ -147,6 +153,14 @@ def e_pair_primes_naive(elements, rho: EInt, ordered: bool) -> tuple:
             if j > i or (ordered and j != i):
                 out |= _e_value_primes(a + rho * b)
     return tuple(sorted(out, key=lambda x: (x.norm(), x.a, x.b)))
+
+
+def unpacked_rows(cache) -> list[list[list[int]]]:
+    """The pair table of a PairPrimeCache as nested lists: [a - 1][b - a - 1]
+    is the list of primes of the pair (a, b), cut from the packed row
+    a - 1 at its offsets."""
+    return [[list(ps[o[i]:o[i + 1]]) for i in range(len(o) - 1)]
+            for ps, o in zip(cache.primes, cache.offsets)]
 
 
 def omega_naive(elements) -> int:

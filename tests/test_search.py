@@ -7,15 +7,19 @@ import math
 import multiprocessing
 import operator
 import random
+from array import array
 
 import pytest
 
 from eulab.factor import factor_rational
 from eulab.search import (
-    MAX_TABLE_ELEMENT, PairPrimeCache, _row_table, _slice, run_search,
+    MAX_TABLE_ELEMENT, PRIME_TYPECODE, PairPrimeCache, _row_table, _slice,
+    run_search,
 )
 
-from oracles import brute_force_search, omega_naive, pair_primes_naive
+from oracles import (
+    brute_force_search, omega_naive, pair_primes_naive, unpacked_rows,
+)
 
 
 _brute_force = functools.cache(brute_force_search)
@@ -33,16 +37,26 @@ def cache400():
 
 class TestPairPrimeCache:
     def test_indices_match_direct_factorization(self, cache60):
+        rows = unpacked_rows(cache60)
         for a, b in itertools.combinations(range(1, 61), 2):
             v = a * a + a * b + b * b
             expect = [p for p, _ in factor_rational(v).factors]
-            assert cache60.rows[a - 1][b - a - 1] == expect
+            assert rows[a - 1][b - a - 1] == expect
 
     @pytest.mark.parametrize("m", [*range(2, 61), 400])
     def test_matches_naive_oracle(self, m):
-        assert PairPrimeCache(m).rows == [
+        cache = PairPrimeCache(m)
+        # the offsets of each row start at 0 and end at its last prime
+        for ps, o in zip(cache.primes, cache.offsets):
+            assert o[0] == 0 and o[-1] == len(ps)
+        assert unpacked_rows(cache) == [
             [list(pair_primes_naive(a, b)) for b in range(a + 1, m + 1)]
             for a in range(1, m)]
+
+    def test_typecode_holds_every_pair_value(self):
+        # every prime and offset is below 3 * MAX_TABLE_ELEMENT^2
+        top = 3 * MAX_TABLE_ELEMENT ** 2
+        assert array(PRIME_TYPECODE, [top])[0] == top
 
     def test_omega_examples(self, cache60):
         # omega of a set from the row table: its masks ORed, plus the
