@@ -11,14 +11,18 @@ inequalities on randomized sets.
 
 Color assignments are defined by a greedy pass over ring representatives in
 enumeration order.  A residue's greedy color depends only on neighbors
-that enumerate earlier, so one walk serves both uses: splitting a set asks
-it for the colors of a handful of residues, replaying their earlier
-dependency chains on demand, and a whole coloring asks it for every unit
-in enumeration order, where it never has to recurse.  The walks run on the
-raw coordinate pairs of reduced residues, which are also their
-enumeration rank: products are reduced with ResidueRing.reduce_pair and
-colors are kept by pair, so no EInt is built per residue.  The test suite
-checks queries in any order against an EInt-based greedy oracle.
+that enumerate earlier, so one walk, _three_group, serves every use:
+splitting a set asks it for the colors of a handful of residues, replaying
+their earlier dependency chains on demand, and a whole coloring asks it
+for every unit in enumeration order, where it never has to recurse.  The
+walk runs on the raw coordinate pairs of reduced residues, which are also
+their enumeration rank: products are reduced with ResidueRing.reduce_pair
+and colors are kept by pair, so no EInt is built per residue.  The test
+suite checks queries in any order against an EInt-based greedy oracle.
+
+The uv, Lemma 2 (coset) and Lemma 4 (valuation) splits share one bucket
+routine, _split, and both chains one loop, _chain; refine_t2 takes its
+Lemma 4 prime and every control exponent from one c_constants(rho).
 """
 
 from __future__ import annotations
@@ -117,19 +121,6 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
     return Coloring(ring, pi, 2, assignment)
 
 
-def _lazy_uv_group(ring: ResidueRing, key: tuple[int, int],
-                   memo: dict[tuple[int, int], int]) -> int:
-    """uv_coloring's group of the reduced residue with coordinate pair
-    key: 0 when it enumerates before its negative, 1 after.  Reduced
-    residues enumerate in (a, b) order, so a pair is its rank; the memo is
-    keyed on pairs and the negative is reduced on raw coordinates."""
-    got = memo.get(key)
-    if got is None:
-        a, b = key
-        got = memo[key] = 0 if key < ring.reduce_pair(-a, -b) else 1
-    return got
-
-
 def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
     """(gamma, rho0, delta) for nonzero rho: gamma = v(rho), rho0 =
     rho / pi^gamma, and delta = v(1 + rho0), or None when rho0 = -1."""
@@ -185,14 +176,15 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
 def _three_group(ring: ResidueRing, neg: tuple[int, int],
                  neg_inv: tuple[int, int], key: tuple[int, int],
                  memo: dict[tuple[int, int], int]) -> int:
-    """three_coloring's group of the reduced residue with coordinate pair
-    key.  Reduced residues enumerate in (a, b) order, so a pair is its
-    rank, and a residue's group depends only on the groups of its
-    neighbors, its products with the multiplier pairs neg and neg_inv,
-    that rank below it.  The walk keeps a stack of pairs: the top reduces
-    its two neighbors with ring.reduce_pair, pushes the earlier ones the
-    memo lacks, and once none is missing takes the least group they leave
-    free.  A pair pushed twice is colored again to the same group."""
+    """The greedy group of the reduced residue with coordinate pair key:
+    three_coloring's for neg, neg_inv = -rho0, -rho0^(-1), and the uv
+    rule's for -1 as both, whose only neighbor of r is -r.  A pair is its
+    rank, and a group depends only on the groups of the neighbors (the
+    products with neg and neg_inv) that rank below it.  The walk keeps a
+    stack of pairs: the top reduces its two neighbors with
+    ring.reduce_pair, pushes the earlier ones the memo lacks, and once
+    none is missing takes the least group they leave free.  A pair pushed
+    twice is colored again to the same group."""
     got = memo.get(key)
     if got is not None:
         return got
@@ -291,9 +283,27 @@ class SplitRecord:
     kept: int                  # index of the retained bucket
 
 
-def _keep_largest(buckets: Sequence[list[EInt]]) -> int:
-    sizes = [len(b) for b in buckets]
-    return sizes.index(max(sizes))
+def _split(elements: Iterable[EInt], prime: EInt, rule: str, groups: int,
+           group) -> tuple[tuple[EInt, ...], SplitRecord]:
+    """Bucket elements into groups buckets by group(a), zero into bucket
+    0, and keep the fullest bucket, the first of equals."""
+    buckets: list[list[EInt]] = [[] for _ in range(groups)]
+    for a in elements:
+        buckets[0 if a.is_zero() else group(a)].append(a)
+    sizes = tuple(len(b) for b in buckets)
+    kept = sizes.index(max(sizes))
+    return tuple(buckets[kept]), SplitRecord(prime, rule, sizes, kept)
+
+
+def _unit_key(ring: ResidueRing, pi: EInt, a: EInt) -> tuple[int, int]:
+    """The reduced coordinate pair of the unit part a / pi^v(a) of a
+    nonzero a.  pi | a forces N(pi) | N(a), so a norm that N(pi) does not
+    divide proves v(a) = 0 without dividing."""
+    if a.norm() % pi.norm() == 0:
+        v = valuation(pi, a)
+        if v:
+            a = exact_div(a, pi ** v)
+    return ring.reduce_pair(a.a, a.b)
 
 
 def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
@@ -306,9 +316,8 @@ def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
     go anywhere; group 0 by convention.
     """
     elements = _sorted_set(elements)
-    # pi | x forces N(pi) | N(x), so a norm that N(pi) does not divide
-    # proves a valuation 0 without dividing; a unit or zero pi goes on
-    # to valuation, which rejects it
+    # norms N(pi) does not divide prove gamma = delta = 0 (see _unit_key);
+    # a unit or zero pi goes on to valuation, which rejects it
     npi = pi.norm()
     if npi > 1 and rho.norm() % npi and (ONE + rho).norm() % npi:
         rho0, delta = rho, 0
@@ -318,23 +327,9 @@ def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
             raise ValueError(
                 "-rho is a power of the prime; use valuation_split")
     ring, neg, neg_inv = _three_setup(pi, rho0, delta)
-    reduce_pair = ring.reduce_pair
     memo: dict[tuple[int, int], int] = {}
-    buckets: list[list[EInt]] = [[], [], []]
-    for a in elements:
-        if a.is_zero():
-            buckets[0].append(a)
-            continue
-        if a.norm() % npi:
-            a0 = a
-        else:
-            v = valuation(pi, a)
-            a0 = exact_div(a, pi ** v) if v else a
-        key = reduce_pair(a0.a, a0.b)
-        buckets[_three_group(ring, neg, neg_inv, key, memo)].append(a)
-    kept = _keep_largest(buckets)
-    record = SplitRecord(pi, "lemma2", tuple(len(b) for b in buckets), kept)
-    return tuple(buckets[kept]), record
+    return _split(elements, pi, "lemma2", 3, lambda a: _three_group(
+        ring, neg, neg_inv, _unit_key(ring, pi, a), memo))
 
 
 def valuation_split(elements: Iterable[EInt], theta: EInt, gamma: int,
@@ -348,33 +343,23 @@ def valuation_split(elements: Iterable[EInt], theta: EInt, gamma: int,
     """
     if gamma < 1:
         raise ValueError("gamma must be a positive integer")
-    elements = _sorted_set(elements)
-    buckets: list[list[EInt]] = [[], []]
-    for a in elements:
-        if a.is_zero():
-            buckets[0].append(a)
-            continue
-        buckets[(valuation(theta, a) // gamma) & 1].append(a)
-    kept = _keep_largest(buckets)
-    record = SplitRecord(theta, "lemma4", tuple(len(b) for b in buckets), kept)
-    return tuple(buckets[kept]), record
+    return _split(_sorted_set(elements), theta, "lemma4", 2,
+                  lambda a: (valuation(theta, a) // gamma) & 1)
 
 
 def _uv_split(elements: Sequence[EInt], pi: EInt,
               ) -> tuple[tuple[EInt, ...], SplitRecord]:
     """Halve a zero-free set so that same-bucket unit parts never sum to a
-    multiple of pi; all elements keep v(a+b) = min(v(a), v(b))."""
+    multiple of pi; all elements keep v(a+b) = min(v(a), v(b)).
+
+    The uv rule is the 3-group walk with -1 as both multipliers: the only
+    neighbor of r is -r, so whichever of the two enumerates first takes
+    group 0 and the other group 1."""
     ring = ResidueRing(pi)
+    neg = ring.reduce_pair(-1, 0)
     memo: dict[tuple[int, int], int] = {}
-    buckets: list[list[EInt]] = [[], []]
-    for a in elements:
-        v = valuation(pi, a)
-        a0 = exact_div(a, pi ** v) if v else a
-        key = ring.reduce_pair(a0.a, a0.b)
-        buckets[_lazy_uv_group(ring, key, memo)].append(a)
-    kept = _keep_largest(buckets)
-    record = SplitRecord(pi, "uv", tuple(len(b) for b in buckets), kept)
-    return tuple(buckets[kept]), record
+    return _split(elements, pi, "uv", 2, lambda a: _three_group(
+        ring, neg, neg, _unit_key(ring, pi, a), memo))
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +385,17 @@ def phi(a: EInt, b: EInt, rho: EInt) -> EInt:
     """The twisted quotient a/g + rho*(b/g), g = gcd(a, b)."""
     g = gcd(a, b)
     return exact_div(a, g) + rho * exact_div(b, g)
+
+
+def _chain(current: tuple[EInt, ...], primes: Sequence[EInt], split):
+    """(snapshots, steps): A0 = current, then split once per prime."""
+    snapshots = [current]
+    steps = []
+    for pi in primes:
+        current, record = split(current, pi)
+        snapshots.append(current)
+        steps.append(record)
+    return tuple(snapshots), tuple(steps)
 
 
 def refine_t1(elements: Iterable[EInt]) -> RefinementTrace:
@@ -430,13 +426,7 @@ def refine_t1(elements: Iterable[EInt]) -> RefinementTrace:
             continue
         sectors.setdefault(a.sector_index(), []).append(a)
     sector = min(sectors, key=lambda k: (-len(sectors[k]), k))
-    current = tuple(sectors[sector])
-    snapshots = [current]
-    steps = []
-    for pi in primes:
-        current, record = _uv_split(current, pi)
-        snapshots.append(current)
-        steps.append(record)
+    snapshots, steps = _chain(tuple(sectors[sector]), primes, _uv_split)
     ok = True
     pairs = 0
     final = snapshots[-1]
@@ -449,19 +439,8 @@ def refine_t1(elements: Iterable[EInt]) -> RefinementTrace:
                     ok = False
     checks = {"valuation_transfer_ok": ok, "pairs_checked": pairs,
               "primes_checked": len(primes)}
-    return RefinementTrace("t1", None, initial, sector,
-                           tuple(snapshots), tuple(steps), checks)
-
-
-def _power_of_prime(x: EInt) -> tuple[EInt, int] | None:
-    """(theta, gamma) when x is exactly a positive power of a canonical
-    prime, unit part included; otherwise None."""
-    if x.is_zero() or x.is_unit():
-        return None
-    f = factor_e(x)
-    if f.unit == ONE and len(f.factors) == 1:
-        return f.factors[0]
-    return None
+    return RefinementTrace("t1", None, initial, sector, snapshots, steps,
+                           checks)
 
 
 def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
@@ -488,17 +467,18 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
     if zero is not None:
         raise ZeroFactorError(
             f"zero factor from pair ({zero[0]}) + rho*({zero[1]})")
-    special = _power_of_prime(-rho)
-    current = initial
-    snapshots = [current]
-    steps = []
-    for pi in primes:
-        if special is not None and pi == special[0]:
-            current, record = valuation_split(current, pi, special[1])
-        else:
-            current, record = coset_split(current, pi, rho)
-        snapshots.append(current)
-        steps.append(record)
+    constants = c_constants(rho)
+    # delta is None only for the prime theta with rho = -theta^gamma
+    special = {pc.pi: pc.gamma for pc in constants.primes
+               if pc.delta is None}
+
+    def split(current, pi):
+        if pi in special:
+            return valuation_split(current, pi, special[pi])
+        return coset_split(current, pi, rho)
+
+    snapshots, steps = _chain(initial, primes, split)
+    c_of = {pc.pi: pc.c for pc in constants.primes}
     final = snapshots[-1]
     transfer_ok = True
     pairs = 0
@@ -509,14 +489,13 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
             pairs += 1
             f = a + rho * b
             for pi, u in factor_e(f).factors:
-                drop = u - c_exponent(pi, rho)
+                drop = u - c_of.get(pi, 0)
                 if drop <= 0:
                     continue
                 power = pi ** drop
                 if not (a.is_zero() or divides(power, a)) or \
                         not (b.is_zero() or divides(power, b)):
                     transfer_ok = False
-    constants = c_constants(rho)
     phis: set[EInt] = set()
     all_divide = True
     for a in final:
@@ -536,8 +515,8 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
         "phi_count_within_bound": len(phis) <= constants.tau,
         "phi_all_divide_c_rho": all_divide,
     }
-    return RefinementTrace("t2", rho, initial, None,
-                           tuple(snapshots), tuple(steps), checks)
+    return RefinementTrace("t2", rho, initial, None, snapshots, steps,
+                           checks)
 
 
 # --------------------------------------------------------------------------

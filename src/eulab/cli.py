@@ -31,7 +31,7 @@ from eulab import __version__
 from eulab.bounds import (
     THEOREMS, VERIFIERS, c_constants, refine_t1, refine_t2, run_trials,
 )
-from eulab.core import EInt
+from eulab.core import EInt, ONE
 from eulab.factor import factor_e, factor_rational, omega_e, tau_e
 from eulab.polyprod import (
     SparsePolySpec, build_vectors, check_independence, omega_product,
@@ -42,8 +42,6 @@ VERIFY_TOKENS = tuple(t.replace("_", "-") for t in THEOREMS)
 _VOLATILE_KEYS = ("seconds", "nodes_visited")
 # how each volatile key starts its member in compact JSON
 _VOLATILE_MARKS = tuple(f'"{k}":' for k in _VOLATILE_KEYS)
-
-RHO_ONE = EInt(1, 0)
 
 
 class CliError(Exception):
@@ -72,25 +70,15 @@ def _read_lines(path: str):
             yield lineno, line
 
 
-def _parse_eint_set(path: str) -> list[EInt]:
+def _parse_set(path: str, parse, what: str) -> list:
+    """The elements of a set file, each line read by parse; a line parse
+    rejects is reported as "bad <what>" with its file and line."""
     out = []
     for lineno, line in _read_lines(path):
         try:
-            out.append(EInt.parse(line))
+            out.append(parse(line))
         except (ValueError, OverflowError):
-            raise CliError(f"{path}:{lineno}: bad element {line!r}") from None
-    if not out:
-        raise CliError(f"{path}: no elements")
-    return out
-
-
-def _parse_int_set(path: str) -> list[int]:
-    out = []
-    for lineno, line in _read_lines(path):
-        try:
-            out.append(int(line))
-        except ValueError:
-            raise CliError(f"{path}:{lineno}: bad integer {line!r}") from None
+            raise CliError(f"{path}:{lineno}: bad {what} {line!r}") from None
     if not out:
         raise CliError(f"{path}: no elements")
     return out
@@ -149,9 +137,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if args.set is not None:
         kind, check = VERIFIERS[name]
         if kind == "eint":
-            elements = _parse_eint_set(args.set)
+            elements = _parse_set(args.set, EInt.parse, "element")
         else:
-            elements = _parse_int_set(args.set)
+            elements = _parse_set(args.set, int, "integer")
         reports = [check(elements, None, args.rho, args.general)]
     else:
         reports = run_trials(name, args.trials, args.size, args.range,
@@ -169,8 +157,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_refine(args) -> tuple[dict, int]:
-    elements = _parse_eint_set(args.set)
-    if args.rho is None or args.rho == RHO_ONE:
+    elements = _parse_set(args.set, EInt.parse, "element")
+    if args.rho is None or args.rho == ONE:
         trace = refine_t1(elements)
     else:
         trace = refine_t2(elements, args.rho)
@@ -213,8 +201,8 @@ def _cmd_polyprod(args) -> tuple[dict, int]:
         spec = SparsePolySpec(raw["n"], tuple(raw["r"]), tuple(raw["m"]))
     except (KeyError, TypeError) as exc:
         raise CliError(f"{args.poly}: expected keys n, r, m ({exc})") from None
-    set_a = _parse_int_set(args.set_a)
-    set_b = _parse_int_set(args.set_b)
+    set_a = _parse_set(args.set_a, int, "integer")
+    set_b = _parse_set(args.set_b, int, "integer")
     out = {
         "n": spec.n,
         "size_a": len(set(set_a)),
@@ -272,56 +260,6 @@ def output_digest(out: dict) -> str:
     if any(mark in canon for mark in _VOLATILE_MARKS):
         canon = _canonical_json(_null_volatile(out))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def validate_output(subcommand: str, out: dict) -> None:
-    """Check the documented shape of a subcommand's JSON output."""
-    def need(keys):
-        missing = [k for k in keys if k not in out]
-        if missing:
-            raise ValueError(f"{subcommand} output missing {missing}")
-
-    if subcommand == "factor":
-        need(["factors"])
-        variant = ("n", "sign") if "n" in out else ("e", "unit")
-        need(variant)
-        for entry in out["factors"]:
-            if set(entry) != {"p", "e"} or not isinstance(entry["e"], int):
-                raise ValueError("factor entries must be {p, e}")
-    elif subcommand == "omega-e":
-        need(["e", "omega"])
-    elif subcommand == "tau":
-        need(["e", "tau"])
-    elif subcommand == "crho":
-        need(["rho", "c_rho", "tau", "threshold", "bound_constant", "primes"])
-        for entry in out["primes"]:
-            if set(entry) != {"pi", "gamma", "delta", "c"}:
-                raise ValueError("crho prime entries must be {pi, gamma, delta, c}")
-    elif subcommand == "verify":
-        need(["theorem", "rho", "reports", "all_passed"])
-        for r in out["reports"]:
-            for key in ("theorem", "seed", "size", "set", "omega", "bound",
-                        "comparison", "passed", "flagged_zero_factor",
-                        "witness_primes"):
-                if key not in r:
-                    raise ValueError(f"verify report missing {key!r}")
-            if r["comparison"] not in (">", ">="):
-                raise ValueError("bad comparison")
-    elif subcommand == "refine":
-        need(["mode", "rho", "initial", "sector", "steps", "snapshots",
-              "final", "checks"])
-        for s in out["steps"]:
-            if s["rule"] not in ("uv", "lemma2", "lemma4"):
-                raise ValueError(f"bad rule {s['rule']!r}")
-    elif subcommand == "search":
-        need(["k", "max", "minimum", "witness_count", "witnesses",
-              "nodes_visited", "seconds"])
-        if out["witness_count"] != len(out["witnesses"]):
-            raise ValueError("witness_count disagrees with witnesses")
-    elif subcommand == "polyprod":
-        need(["n", "size_a", "size_b", "omega", "independence"])
-    else:
-        raise ValueError(f"unknown subcommand {subcommand!r}")
 
 
 _HANDLERS = {

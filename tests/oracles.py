@@ -89,6 +89,21 @@ def gcd_by_factoring(x: EInt, y: EInt):
     return g.canonical_associate()[0]
 
 
+def _power_of_prime(x: EInt) -> tuple[EInt, int] | None:
+    """(theta, gamma) when x is exactly a positive power of a canonical
+    prime, unit part included, from the factorization of x; otherwise
+    None.  For x = -rho this names the prime of refine_t2's Lemma 4
+    split."""
+    from eulab.factor import factor_e
+
+    if x.is_zero() or x.is_unit():
+        return None
+    f = factor_e(x)
+    if f.unit == EInt(1, 0) and len(f.factors) == 1:
+        return f.factors[0]
+    return None
+
+
 def _trial_division_primes(n: int) -> list[int]:
     """The distinct primes of n > 0, increasing, by trial division."""
     out = []
@@ -184,3 +199,53 @@ def brute_force_search(k: int, max_element: int, primitive_only: bool):
         elif om == best:
             witnesses.append(s)
     return best, sorted(witnesses)
+
+
+def validate_output(subcommand: str, out: dict) -> None:
+    """Check the documented shape of a subcommand's JSON output."""
+    def need(keys):
+        missing = [k for k in keys if k not in out]
+        if missing:
+            raise ValueError(f"{subcommand} output missing {missing}")
+
+    if subcommand == "factor":
+        need(["factors"])
+        variant = ("n", "sign") if "n" in out else ("e", "unit")
+        need(variant)
+        for entry in out["factors"]:
+            if set(entry) != {"p", "e"} or not isinstance(entry["e"], int):
+                raise ValueError("factor entries must be {p, e}")
+    elif subcommand == "omega-e":
+        need(["e", "omega"])
+    elif subcommand == "tau":
+        need(["e", "tau"])
+    elif subcommand == "crho":
+        need(["rho", "c_rho", "tau", "threshold", "bound_constant", "primes"])
+        for entry in out["primes"]:
+            if set(entry) != {"pi", "gamma", "delta", "c"}:
+                raise ValueError("crho prime entries must be {pi, gamma, delta, c}")
+    elif subcommand == "verify":
+        need(["theorem", "rho", "reports", "all_passed"])
+        for r in out["reports"]:
+            for key in ("theorem", "seed", "size", "set", "omega", "bound",
+                        "comparison", "passed", "flagged_zero_factor",
+                        "witness_primes"):
+                if key not in r:
+                    raise ValueError(f"verify report missing {key!r}")
+            if r["comparison"] not in (">", ">="):
+                raise ValueError("bad comparison")
+    elif subcommand == "refine":
+        need(["mode", "rho", "initial", "sector", "steps", "snapshots",
+              "final", "checks"])
+        for s in out["steps"]:
+            if s["rule"] not in ("uv", "lemma2", "lemma4"):
+                raise ValueError(f"bad rule {s['rule']!r}")
+    elif subcommand == "search":
+        need(["k", "max", "minimum", "witness_count", "witnesses",
+              "nodes_visited", "seconds"])
+        if out["witness_count"] != len(out["witnesses"]):
+            raise ValueError("witness_count disagrees with witnesses")
+    elif subcommand == "polyprod":
+        need(["n", "size_a", "size_b", "omega", "independence"])
+    else:
+        raise ValueError(f"unknown subcommand {subcommand!r}")

@@ -15,7 +15,7 @@ from eulab.bounds import (
     coset_split, phi, random_eint_set, random_int_set, run_trials,
     three_coloring, uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
-    _above_log, _lazy_uv_group, _three_group, _unit_pairs,
+    _above_log, _three_group, _unit_pairs, _uv_split,
 )
 from oracles import (
     _canonical_of_norm, _trial_division_primes, reduced_representatives,
@@ -70,8 +70,10 @@ class TestUvColoring:
                 want[r] = 0
                 want[ring.reduce(-r)] = 1
         assert list(col.assignment.items()) == list(want.items())
+        # the uv rule is the 3-group walk with -1 as both multipliers
+        neg = ring.reduce_pair(-1, 0)
         _assert_any_order(want, lambda key, memo:
-                          _lazy_uv_group(ring, key, memo))
+                          _three_group(ring, neg, neg, key, memo))
 
     def test_rejects_even_norm_and_units(self):
         with pytest.raises(ValueError):
@@ -305,6 +307,27 @@ class TestCosetSplit:
     def test_rejects_power_rho(self):
         with pytest.raises(ValueError):
             coset_split([ONE, OMEGA], LAMBDA, -LAMBDA)
+
+
+class TestUvSplit:
+    @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
+    def test_matches_eager_coloring(self, pi):
+        col = uv_coloring(pi)
+        rng = random.Random(f"uv:{pi}")
+        for _ in range(12):
+            base = random_eint_set(rng, rng.randint(1, 15), 25)
+            extra = [pi ** rng.randint(1, 3) * x for x in base[:4]]
+            elements = sorted((set(base) | set(extra)) - {ZERO},
+                              key=lambda x: (x.norm(), x.a, x.b))
+            buckets = [[], []]
+            for a in elements:
+                a0 = a // pi ** valuation(pi, a)
+                buckets[col.group_of(a0)].append(a)
+            sizes = tuple(len(b) for b in buckets)
+            kept, record = _uv_split(elements, pi)
+            assert record == SplitRecord(pi, "uv", sizes,
+                                         sizes.index(max(sizes)))
+            assert kept == tuple(buckets[record.kept])
 
 
 class TestValuationSplit:

@@ -20,6 +20,7 @@ from eulab import bounds, cli
 from eulab.bounds import verify_t1
 from eulab.core import OMEGA, ONE, EInt
 from eulab.factor import factor_rational
+from oracles import validate_output
 
 
 def run_cli(argv, capsys):
@@ -57,7 +58,7 @@ class TestFactor:
         obj = json.loads(out)
         assert obj["factors"] == [{"p": 2, "e": 2}, {"p": 7, "e": 1}]
         assert obj["n"] == 28 and obj["sign"] == 1
-        cli.validate_output("factor", obj)
+        validate_output("factor", obj)
 
     def test_rational_negative(self, capsys):
         code, out, _ = run_cli(["factor", "--n", "-12"], capsys)
@@ -73,7 +74,7 @@ class TestFactor:
         assert obj["e"] == "3,3"
         assert obj["unit"] == "1,0"
         assert obj["factors"] == [{"p": "2,1", "e": 2}]
-        cli.validate_output("factor", obj)
+        validate_output("factor", obj)
 
     def test_requires_exactly_one_input(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -96,13 +97,13 @@ class TestSmallQueries:
         code, out, _ = run_cli(["omega-e", "--e", "6,0"], capsys)
         obj = json.loads(out)
         assert code == 0 and obj == {"e": "6,0", "omega": 2}
-        cli.validate_output("omega-e", obj)
+        validate_output("omega-e", obj)
 
     def test_tau(self, capsys):
         code, out, _ = run_cli(["tau", "--e", "3,3"], capsys)
         obj = json.loads(out)
         assert code == 0 and obj == {"e": "3,3", "tau": 18}
-        cli.validate_output("tau", obj)
+        validate_output("tau", obj)
 
     def test_crho_minus_omega(self, capsys):
         code, out, _ = run_cli(["crho", "--rho", "0,-1"], capsys)
@@ -112,7 +113,7 @@ class TestSmallQueries:
         assert obj["tau"] == 12
         assert obj["threshold"] == 146
         assert obj["primes"] == [{"pi": "2,1", "gamma": 0, "delta": 1, "c": 1}]
-        cli.validate_output("crho", obj)
+        validate_output("crho", obj)
 
     def test_crho_negative_unit(self, capsys):
         code, out, _ = run_cli(["crho", "--rho", "-1,-1"], capsys)
@@ -134,7 +135,7 @@ class TestVerify:
         assert obj["all_passed"] is True
         assert len(obj["reports"]) == 3
         assert [r["seed"] for r in obj["reports"]] == ["5:0", "5:1", "5:2"]
-        cli.validate_output("verify", obj)
+        validate_output("verify", obj)
         manifest = last_manifest(err)
         assert manifest["seed"] == 5
         assert manifest["subcommand"] == "verify"
@@ -338,7 +339,7 @@ class TestRefine:
         assert obj["checks"]["valuation_transfer_ok"] is True
         assert obj["snapshots"][0] == obj["initial"]
         assert obj["snapshots"][-1] == obj["final"]
-        cli.validate_output("refine", obj)
+        validate_output("refine", obj)
 
     def test_rho_one_is_additive(self, tmp_path, capsys):
         path = write_set(tmp_path, "s.txt", ["1,0", "2,0", "4,0"])
@@ -358,18 +359,24 @@ class TestRefine:
         assert obj["rho"] == "0,1"
         assert all(s["rule"] in ("lemma2", "lemma4") for s in obj["steps"])
         assert obj["checks"]["divisibility_transfer_ok"] is True
-        cli.validate_output("refine", obj)
+        validate_output("refine", obj)
 
     def test_bad_line_reports_number(self, tmp_path, capsys):
         path = write_set(tmp_path, "bad.txt", ["1,0", "nonsense", "3,0"])
         code, _, err = run_cli(["refine", "--set", path], capsys)
         assert code == 2
-        assert f"{path}:2:" in err
+        assert f"{path}:2: bad element 'nonsense'" in err
         path = write_set(tmp_path, "big.txt",
                          ["1,0", "9223372036854775808,0"])
         code, _, err = run_cli(["refine", "--set", path], capsys)
         assert code == 2
         assert f"{path}:2:" in err
+
+    def test_bad_integer_reports_number(self, tmp_path, capsys):
+        path = write_set(tmp_path, "ints.txt", ["1", "2", "x3"])
+        code, _, err = run_cli(["verify", "cor1", "--set", path], capsys)
+        assert code == 2
+        assert f"{path}:3: bad integer 'x3'" in err
 
     def test_comments_and_blanks_skipped(self, tmp_path, capsys):
         path = write_set(tmp_path, "c.txt",
@@ -479,7 +486,7 @@ class TestSearch:
                              "witnesses", "nodes_visited", "seconds"]
         assert obj["minimum"] == 3
         assert [1, 2, 3] in obj["witnesses"]
-        cli.validate_output("search", obj)
+        validate_output("search", obj)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -565,7 +572,7 @@ class TestPolyprod:
         assert code == 0
         assert obj["omega"] == 5
         assert obj["independence"] is None
-        cli.validate_output("polyprod", obj)
+        validate_output("polyprod", obj)
 
     def test_independence(self, tmp_path, capsys, poly_file):
         a = write_set(tmp_path, "a.txt", ["1", "2", "3", "4", "5"])
@@ -578,7 +585,7 @@ class TestPolyprod:
         assert obj["independence"]["independent"] is True
         assert obj["independence"]["singular_subset"] is None
         assert obj["independence"]["subsets_checked"] > 0
-        cli.validate_output("polyprod", obj)
+        validate_output("polyprod", obj)
 
     def test_malformed_poly(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ from eulab.core import EInt, LAMBDA, ONE, OMEGA, valuation
 from eulab.bounds import (
     ZeroFactorError, c_constants, phi, random_eint_set, refine_t1, refine_t2,
 )
+from oracles import _power_of_prime
 
 RHOS = [OMEGA, -OMEGA, EInt(2, 1), EInt(-2, -1), EInt(1, 2), -(LAMBDA ** 2)]
 
@@ -99,6 +100,24 @@ class TestRefineT2:
         assert rules[LAMBDA] == "lemma4"
         assert all(rule == "lemma2" for pi, rule in rules.items()
                    if pi != LAMBDA)
+
+    # -rho a prime power for the first four, an associate of one (unit
+    # part other than 1) for the next three, a unit for the last
+    LEMMA4_RHOS = [-(LAMBDA ** 2), -LAMBDA, EInt(-2, 0), -(EInt(3, 1) ** 3),
+                   OMEGA * LAMBDA, -OMEGA * LAMBDA ** 2, EInt(1, 2), OMEGA]
+
+    @pytest.mark.parametrize("rho", LEMMA4_RHOS)
+    def test_lemma4_exactly_on_its_prime(self, rho):
+        special = _power_of_prime(-rho)
+        seen = set()
+        for elements in _seeded_sets(f"lemma4:{rho}", 6, 8, 20):
+            if _has_zero_sum(elements, rho):
+                continue
+            for record in refine_t2(elements, rho).steps:
+                lemma4 = special is not None and record.prime == special[0]
+                assert record.rule == ("lemma4" if lemma4 else "lemma2")
+                seen.add(record.prime)
+        assert seen and (special is None or special[0] in seen)
 
     def test_unit_rho_all_lemma2(self):
         trace = refine_t2([ONE, EInt(2, 0), EInt(3, 0), EInt(5, 0)], OMEGA)
