@@ -36,8 +36,7 @@ from eulab.core import (
     EInt, ONE, ResidueRing, divides, exact_div, gcd, valuation,
 )
 from eulab.factor import (
-    factor_e, factor_rational, is_prime, pair_e_primes, pair_form_primes,
-    prime_pi,
+    factor_e, is_prime, pair_e_primes, pair_form_primes, prime_pi,
 )
 
 MINUS_ONE = EInt(-1, 0)
@@ -183,14 +182,17 @@ def _three_group(ring: ResidueRing, neg: tuple[int, int],
     products with neg and neg_inv) that rank below it.  The walk keeps a
     stack of pairs: the top reduces its two neighbors with
     ring.reduce_pair, pushes the earlier ones the memo lacks, and once
-    none is missing takes the least group they leave free.  A pair pushed
-    twice is colored again to the same group."""
+    none is missing takes the least group they leave free.  When the two
+    multipliers agree, as in the uv rule, the one neighbor is reduced once
+    and the second counts as a later neighbor.  A pair pushed twice is
+    colored again to the same group."""
     got = memo.get(key)
     if got is not None:
         return got
     reduce_pair = ring.reduce_pair
     get = memo.get
     (na, nb), (ia, ib) = neg, neg_inv
+    single = neg == neg_inv
     stack = [key]
     while stack:
         cur = stack[-1]
@@ -198,9 +200,12 @@ def _three_group(ring: ResidueRing, neg: tuple[int, int],
         # (a + b w)(ma + mb w) with w^2 = -1 - w; -1 stands for a later
         # neighbor, which leaves every group free
         n1 = reduce_pair(a * na - b * nb, a * nb + na * b - b * nb)
-        n2 = reduce_pair(a * ia - b * ib, a * ib + ia * b - b * ib)
         g1 = get(n1) if n1 < cur else -1
-        g2 = get(n2) if n2 < cur else -1
+        if single:
+            g2 = -1
+        else:
+            n2 = reduce_pair(a * ia - b * ib, a * ib + ia * b - b * ib)
+            g2 = get(n2) if n2 < cur else -1
         if g1 is None or g2 is None:
             if g1 is None:
                 stack.append(n1)
@@ -569,16 +574,6 @@ def _e_pair_omega(elements: Sequence[EInt], rho: EInt, ordered: bool,
     return len(primes), primes, False
 
 
-def _n_product_omega(values: Iterable[int]) -> tuple[int | None, tuple, bool]:
-    primes: set[int] = set()
-    for v in values:
-        if v == 0:
-            return None, (), True
-        for p, _ in factor_rational(v).factors:
-            primes.add(p)
-    return len(primes), tuple(sorted(primes)), False
-
-
 def verify_t1(elements: Iterable[EInt], seed: object = None) -> BoundReport:
     """omega_E of the pair-sum product against (log(|A|-1) - log 18)/log 2.
 
@@ -628,7 +623,7 @@ def verify_cor1(values: Iterable[int], seed: object = None) -> BoundReport:
     cofactor the sieve primes cannot settle is split into rational
     primes.  No pair value is zero, so nothing is flagged."""
     elements = _positive_set(values)
-    primes = pair_form_primes(elements, -1)
+    primes = pair_form_primes(elements, "minus")
     bound = (math.log(len(elements)) - math.log(38)) / (2 * math.log(3))
     return BoundReport("cor1", None, seed, elements, len(primes), bound, ">",
                        _above_log(len(primes), 38, 9, len(elements)),
@@ -638,7 +633,7 @@ def verify_cor1(values: Iterable[int], seed: object = None) -> BoundReport:
 def verify_cor2(values: Iterable[int], seed: object = None) -> BoundReport:
     """Same as cor1 for a^2 + a*b + b^2, with the constant 146."""
     elements = _positive_set(values)
-    primes = pair_form_primes(elements, 1)
+    primes = pair_form_primes(elements, "plus")
     bound = (math.log(len(elements)) - math.log(146)) / (2 * math.log(3))
     return BoundReport("cor2", None, seed, elements, len(primes), bound, ">",
                        _above_log(len(primes), 146, 9, len(elements)),
@@ -663,17 +658,20 @@ def verify_rho_minus1(elements: Iterable[EInt], seed: object = None) -> BoundRep
 
 def verify_erdos_turan(values: Iterable[int], seed: object = None) -> BoundReport:
     """omega of the pairwise-sum product of positive integers is at least
-    k+1 once |A| reaches 3 * 2^(k-1)."""
+    k+1 once |A| reaches 3 * 2^(k-1).
+
+    The pair sums are sieved along a = -b (mod p) rather than factored one
+    by one (pair_form_primes).  No sum of positive integers is zero, so
+    nothing is flagged."""
     elements = _positive_set(values)
     k = 0
     while 3 * 2 ** k <= len(elements):
         k += 1
     # now k = largest exponent with 3*2^(k-1) <= |A| (0 when |A| = 2)
-    sums = (a + b for i, a in enumerate(elements) for b in elements[i + 1:])
-    omega, primes, flagged = _n_product_omega(sums)
-    return BoundReport("erdos_turan", None, seed, elements, omega,
-                       float(k + 1), ">=", omega is None or omega >= k + 1,
-                       flagged, primes)
+    primes = pair_form_primes(elements, "sum")
+    return BoundReport("erdos_turan", None, seed, elements, len(primes),
+                       float(k + 1), ">=", len(primes) >= k + 1, False,
+                       primes)
 
 
 def _positive_set(values: Iterable[int]) -> tuple[int, ...]:

@@ -12,9 +12,11 @@ ramifies onto (2,1), primes 2 mod 3 stay prime, and primes 1 mod 3 split
 into a conjugate pair, gcd(p, w - omega) for the two roots w of
 x^2 + x + 1 mod p.
 
-The primes of a product of quadratic-form values a^2 +- a*b + b^2 over the
-pairs of a set are sieved along root progressions, as the quadratic sieve
-walks them (Pomerance 1982), rather than factored value by value.  The
+The primes of a product of pair values over the pairs of a set are
+sieved along residue progressions, as the quadratic sieve walks them
+(Pomerance 1982), rather than factored value by value.  pair_form_primes
+takes three forms: "plus", a^2 + a*b + b^2, and "minus", a^2 - a*b + b^2,
+along the roots of x^2 + x + 1, and "sum", a + b, along a = -b.  The
 Eisenstein pair products a + rho*b are sieved the same way in E: each
 prime above a sieve prime maps E onto its residue field.  In both sieves
 a prime divides a pair's value exactly when a residue of a equals a
@@ -258,29 +260,45 @@ def _divide_out(vals: list[int], hits: Iterable[int], p: int) -> None:
         vals[k] = v
 
 
-def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
-    """The distinct primes of the product of a^2 + s*a*b + b^2, s = 1 or
-    -1, over the pairs of the distinct positive integers elements, in
-    increasing order.
+# the sign s of the middle term of each quadratic pair form a^2 + s*a*b + b^2
+_QUADRATIC_SIGNS = {"plus": 1, "minus": -1}
 
-    The pair values are sieved one prime p at a time.  For p not dividing
-    b, p divides a^2 + s*a*b + b^2 exactly when a = s*r*b (mod p) for a
-    root r of x^2 + x + 1 mod p; for p | b, exactly when p | a.  The
-    roots are r and 1/r, so with t = s*r that is a = t*b or b = t*a:
-    _joined matches a mod p against t*b mod p and t*a against b.  A p
-    without roots divides only pairs of multiples of p and matches class
-    0 with class 0 alone, once two elements are in it.  Every hit divides
-    p out of its pair value completely.  The primes come from
-    sieve_primes(), up to isqrt of the largest pair value but no further
-    than _PAIR_SIEVE_BOUND.  A cofactor c > 1 left over is prime when
-    every prime up to isqrt(c) was sieved; any other goes to _factor_hard.
+
+def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
+    """The distinct primes of the product of a pair form over the pairs of
+    the distinct positive integers elements, in increasing order.  The
+    form is "plus" for a^2 + a*b + b^2, "minus" for a^2 - a*b + b^2 and
+    "sum" for a + b.
+
+    The pair values are sieved one prime p at a time, and only the
+    residue match changes with the form.  p divides a + b exactly when
+    a = -b (mod p): _joined matches a mod p against -b mod p.  For the
+    quadratic forms a^2 + s*a*b + b^2, s = 1 or -1, and p not dividing b,
+    p divides the value exactly when a = s*r*b (mod p) for a root r of
+    x^2 + x + 1 mod p; for p | b, exactly when p | a.  The roots are r and
+    1/r, so with t = s*r that is a = t*b or b = t*a: _joined matches a mod
+    p against t*b mod p and t*a against b.  A p without roots divides only
+    pairs of multiples of p and matches class 0 with class 0 alone, once
+    two elements are in it.  Every hit divides p out of its pair value
+    completely.  The primes come from sieve_primes(), up to isqrt of the
+    largest pair value but no further than _PAIR_SIEVE_BOUND.  A cofactor
+    c > 1 left over is prime when every prime up to isqrt(c) was sieved;
+    any other goes to _factor_hard.
 
     A pair value above INT64_MAX raises the ValueError factor_rational
     would raise, naming the first such value in pair order (i < j).
     """
+    if form == "sum":
+        vals = [a + b
+                for i, a in enumerate(elements) for b in elements[i + 1:]]
+    elif form in _QUADRATIC_SIGNS:
+        s = _QUADRATIC_SIGNS[form]
+        vals = [a * a + s * a * b + b * b
+                for i, a in enumerate(elements) for b in elements[i + 1:]]
+    else:
+        raise ValueError(f"unknown pair form {form!r}; expected plus, "
+                         "minus or sum")
     n = len(elements)
-    vals = [a * a + s * a * b + b * b
-            for i, a in enumerate(elements) for b in elements[i + 1:]]
     if not vals:
         return ()
     top = max(vals)
@@ -295,8 +313,9 @@ def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
     found = []
     for p in primes:
         keys = [a % p for a in elements]
-        roots = _roots_x2_x_1(p)
-        if roots:
+        if form == "sum":
+            joins = ((keys, [-c % p for c in keys]),)
+        elif roots := _roots_x2_x_1(p):
             # a = t*b with t = s*r for the first root r; the other root is
             # 1/r, and a = s*b/r is b = t*a, the same join with its sides
             # swapped (for p = 3, r = 1/r = 1 and the two joins agree)
@@ -307,7 +326,8 @@ def pair_form_primes(elements: Sequence[int], s: int) -> tuple[int, ...]:
             joins = ((keys, [-1 if c else 0 for c in keys]),)
         else:
             continue
-        # both joins hold the pairs of class 0: the set counts them once
+        # both quadratic joins hold the pairs of class 0: the set counts
+        # them once
         hits = {k for left, right in joins
                 for k in _joined(left, right, off, False)}
         if hits:

@@ -119,11 +119,35 @@ def _trial_division_primes(n: int) -> list[int]:
     return out
 
 
+# the value of each pair form of factor.pair_form_primes
+PAIR_FORM_VALUES = {
+    "plus": lambda a, b: a * a + a * b + b * b,
+    "minus": lambda a, b: a * a - a * b + b * b,
+    "sum": lambda a, b: a + b,
+}
+
+
 @functools.cache
-def pair_primes_naive(a: int, b: int, s: int = 1) -> tuple[int, ...]:
-    """The distinct primes of a^2 + s*a*b + b^2 (s = 1 or -1),
-    increasing, by trial division; shares no code with eulab."""
-    return tuple(_trial_division_primes(a * a + s * a * b + b * b))
+def pair_primes_naive(a: int, b: int, form: str = "plus") -> tuple[int, ...]:
+    """The distinct primes of the pair value of form ("plus",
+    a^2 + a*b + b^2; "minus", a^2 - a*b + b^2; "sum", a + b), increasing,
+    by trial division; shares no code with eulab."""
+    return tuple(_trial_division_primes(PAIR_FORM_VALUES[form](a, b)))
+
+
+def n_product_omega(values) -> tuple[int | None, tuple, bool]:
+    """(omega, primes, flagged) of the product of values, one
+    factor_rational call per value: (None, (), True) once a value is zero.
+    The reference for verify_erdos_turan's sieved pair sums."""
+    from eulab.factor import factor_rational
+
+    primes: set[int] = set()
+    for v in values:
+        if v == 0:
+            return None, (), True
+        for p, _ in factor_rational(v).factors:
+            primes.add(p)
+    return len(primes), tuple(sorted(primes)), False
 
 
 @functools.cache

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,8 +19,8 @@ from eulab.bounds import (
     _above_log, _three_group, _unit_pairs, _uv_split,
 )
 from oracles import (
-    _canonical_of_norm, _trial_division_primes, reduced_representatives,
-    three_coloring_greedy,
+    _canonical_of_norm, _trial_division_primes, n_product_omega,
+    reduced_representatives, three_coloring_greedy,
 )
 
 MINUS_ONE = EInt(-1, 0)
@@ -74,6 +75,23 @@ class TestUvColoring:
         neg = ring.reduce_pair(-1, 0)
         _assert_any_order(want, lambda key, memo:
                           _three_group(ring, neg, neg, key, memo))
+
+    @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
+    def test_walk_reduces_one_neighbor_per_step(self, pi):
+        # with -1 as both multipliers a fresh query takes at most three
+        # steps (r, then -r below it, then r again), one reduction each;
+        # the walk reads nothing of the ring but reduce_pair
+        ring = ResidueRing(pi)
+        reduce_pair = ring.reduce_pair
+        neg = reduce_pair(-1, 0)
+        calls = []
+        counting = SimpleNamespace(reduce_pair=lambda a, b: (
+            calls.append((a, b)), reduce_pair(a, b))[1])
+        for key in _unit_pairs(ring, pi):
+            calls.clear()
+            _three_group(counting, neg, neg, key, {})
+            assert len(calls) == (3 if reduce_pair(-key[0], -key[1]) < key
+                                  else 1), key
 
     def test_rejects_even_norm_and_units(self):
         with pytest.raises(ValueError):
@@ -430,6 +448,32 @@ class TestVerifiers:
         assert report.bound == 2.0
         assert report.comparison == ">="
         assert report.passed
+
+    def test_erdos_turan_matches_factor_rational_oracle(self):
+        # the sieved pair sums against one factor_rational call per sum,
+        # across sieve-settled values and cofactors past the sieve bound
+        rng = random.Random(2024)
+        for top in (60, 2000, 10**5, 10**9, 10**12, 10**17):
+            for _ in range(5):
+                size = rng.randint(2, min(48, top))
+                values = rng.sample(range(1, top + 1), size)
+                report = verify_erdos_turan(values, seed=top)
+                elements = tuple(sorted(values))
+                omega, primes, flagged = n_product_omega(
+                    a + b for i, a in enumerate(elements)
+                    for b in elements[i + 1:])
+                k = 0
+                while 3 * 2 ** k <= size:
+                    k += 1
+                assert report == BoundReport(
+                    "erdos_turan", None, top, elements, omega, float(k + 1),
+                    ">=", omega >= k + 1, flagged, primes), elements
+
+    def test_erdos_turan_first_overflowing_sum_is_named(self):
+        with pytest.raises(ValueError) as info:
+            verify_erdos_turan([5, 2**62, 2**62 + 7, 2**62 + 9])
+        assert str(info.value) == (f"{2**63 + 7} is beyond the declared "
+                                   "64-bit input range")
 
     def test_erdos_turan_k_ladder(self):
         assert verify_erdos_turan([1, 2]).bound == 1.0

@@ -745,3 +745,32 @@ class TestSubprocess:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["omega"] == 2
+
+    def test_digest_does_not_load_libcrypto(self):
+        # hashlib would map OpenSSL's libcrypto (_hashlib) into the process
+        # for the one manifest digest; the built-in module keeps it out
+        script = """if True:
+            import contextlib, importlib.util, io, json, sys
+            import eulab.cli as cli
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \\
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["verify", "erdos-turan", "--trials", "2",
+                                 "--size", "6", "--range", "100",
+                                 "--seed", "1"])
+            loaded = "_hashlib" in sys.modules
+            builtin = any(importlib.util.find_spec(name) is not None
+                          for name in ("_sha2", "_sha256"))
+            print(json.dumps({"code": code, "stdout": out.getvalue(),
+                              "manifest": err.getvalue().splitlines()[-1],
+                              "loaded": loaded, "builtin": builtin}))
+        """
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["code"] == 0
+        assert json.loads(result["manifest"])["output_digest"] == \
+            reference_digest(json.loads(result["stdout"]))
+        if result["builtin"]:
+            assert not result["loaded"]

@@ -17,8 +17,9 @@ from eulab.factor import (
 )
 from eulab.search import MAX_TABLE_ELEMENT
 from oracles import (
-    _canonical_of_norm, _e_value_primes, e_pair_primes_naive,
-    enumerate_divisors, gcd_by_factoring, pair_primes_naive,
+    PAIR_FORM_VALUES, _canonical_of_norm, _e_value_primes,
+    e_pair_primes_naive, enumerate_divisors, gcd_by_factoring,
+    pair_primes_naive,
 )
 
 
@@ -297,30 +298,43 @@ def test_roots_x2_x_1_by_brute_force():
         assert set(_roots_x2_x_1(p)) == roots, p
 
 
-def naive_pair_form_primes(elements, s):
+def naive_pair_form_primes(elements, form):
     return tuple(sorted(set().union(*(
-        pair_primes_naive(a, b, s)
+        pair_primes_naive(a, b, form)
         for a, b in itertools.combinations(elements, 2)))))
 
 
-class TestPairFormPrimes:
-    @pytest.mark.parametrize("s", [1, -1])
-    def test_all_pairs_up_to_60(self, s):
-        elements = tuple(range(1, 61))
-        assert pair_form_primes(elements, s) == \
-            naive_pair_form_primes(elements, s)
-        for a, b in itertools.combinations(elements, 2):
-            assert pair_form_primes((a, b), s) == pair_primes_naive(a, b, s)
+# every pair form; a quadratic form's id is the sign s of its middle term
+# in a^2 + s*a*b + b^2, and SEED_OFFSET gives each form its own draws
+FORMS = [pytest.param("plus", id="1"), pytest.param("minus", id="-1"), "sum"]
+SEED_OFFSET = {"plus": 1, "minus": -1, "sum": 0}
 
-    @pytest.mark.parametrize("s", [1, -1])
-    def test_random_sets_up_to_2000(self, s):
-        rng = random.Random(2000 + s)
+
+def factor_rational_union(values):
+    """The distinct primes of the values, one factor_rational call each."""
+    return tuple(sorted({p for v in values
+                         for p, _ in factor_rational(v).factors}))
+
+
+class TestPairFormPrimes:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_all_pairs_up_to_60(self, form):
+        elements = tuple(range(1, 61))
+        assert pair_form_primes(elements, form) == \
+            naive_pair_form_primes(elements, form)
+        for a, b in itertools.combinations(elements, 2):
+            assert pair_form_primes((a, b), form) == \
+                pair_primes_naive(a, b, form)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_random_sets_up_to_2000(self, form):
+        rng = random.Random(2000 + SEED_OFFSET[form])
         for size in (2, 3, 5, 8, 13, 21, 34):
             elements = tuple(sorted(rng.sample(range(1, 2001), size)))
-            assert pair_form_primes(elements, s) == \
-                naive_pair_form_primes(elements, s), elements
+            assert pair_form_primes(elements, form) == \
+                naive_pair_form_primes(elements, form), elements
 
-    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("elements", [
         (2, 4, 6, 8, 16, 32, 64, 1024),     # p = 2 divides a and b; 4 | value
         (3, 6, 9, 27, 81, 12, 243, 1998),   # p = 3 dividing both elements
@@ -329,42 +343,62 @@ class TestPairFormPrimes:
         (1, 2, 4, 5, 7, 8, 2000),           # b = -a mod 3: 3 | a^2-ab+b^2
         (1, 2), (1, 3), (2, 3),             # values 3, 7, 13 (and 3, 7, 7)
     ])
-    def test_edge_sets(self, elements, s):
+    def test_edge_sets(self, elements, form):
         elements = tuple(sorted(elements))
-        assert pair_form_primes(elements, s) == \
-            naive_pair_form_primes(elements, s)
+        assert pair_form_primes(elements, form) == \
+            naive_pair_form_primes(elements, form)
 
-    @pytest.mark.parametrize("s", [1, -1])
-    def test_small_sieve_limit_falls_back(self, monkeypatch, s):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_small_sieve_limit_falls_back(self, monkeypatch, form):
         # With primes only up to 50 sieved, most cofactors are settled by
         # is_prime or split by _factor_hard instead of the sieve.
         monkeypatch.setattr(factor, "_PAIR_SIEVE_BOUND", 50)
-        rng = random.Random(50 + s)
+        rng = random.Random(50 + SEED_OFFSET[form])
         for size in (4, 12, 30):
             elements = tuple(sorted(rng.sample(range(1, 2001), size)))
-            assert pair_form_primes(elements, s) == \
-                naive_pair_form_primes(elements, s), elements
+            assert pair_form_primes(elements, form) == \
+                naive_pair_form_primes(elements, form), elements
 
-    @pytest.mark.parametrize("s", [1, -1])
-    def test_large_values_match_factor_rational(self, s):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_large_values_match_factor_rational(self, form):
         elements = (1234567891, 1699999993, 1700000000, 1700000001)
-        expected = sorted({
-            p for a, b in itertools.combinations(elements, 2)
-            for p, _ in factor_rational(a * a + s * a * b + b * b).factors})
-        assert pair_form_primes(elements, s) == tuple(expected)
+        value = PAIR_FORM_VALUES[form]
+        assert pair_form_primes(elements, form) == factor_rational_union(
+            value(a, b) for a, b in itertools.combinations(elements, 2))
 
-    @pytest.mark.parametrize("s", [1, -1])
-    def test_first_overflowing_value_is_named(self, s):
-        elements = (1, 2, 3, 4000000000, 5000000000)
-        first = 1 + s * 4000000000 + 4000000000 ** 2
+    def test_sums_up_to_10_17_match_factor_rational(self):
+        # sums up to 2 * 10^17 leave cofactors far above the sieve bound
+        # squared, for is_prime and Brent's splitter
+        rng = random.Random(17)
+        for top in (10**6, 10**9, 10**12, 10**15, 10**17):
+            for size in (2, 5, 9):
+                elements = tuple(sorted(rng.sample(range(1, top + 1), size)))
+                assert pair_form_primes(elements, "sum") == \
+                    factor_rational_union(
+                        a + b for a, b in itertools.combinations(elements, 2)
+                    ), elements
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_first_overflowing_value_is_named(self, form):
+        # a quadratic form overflows first at (1, 4000000000), the sum at
+        # (2^62 + 1, 2^62 + 3)
+        elements = (1, 2, 3, 4000000000, 5000000000, 2**62 + 1, 2**62 + 3)
+        value = PAIR_FORM_VALUES[form]
+        first = next(v for a, b in itertools.combinations(elements, 2)
+                     if (v := value(a, b)) > INT64_MAX)
         with pytest.raises(ValueError) as info:
-            pair_form_primes(elements, s)
+            pair_form_primes(elements, form)
         assert str(info.value) == \
             f"{first} is beyond the declared 64-bit input range"
 
     def test_fewer_than_two_elements(self):
-        assert pair_form_primes((), 1) == ()
-        assert pair_form_primes((5,), -1) == ()
+        assert pair_form_primes((), "plus") == ()
+        assert pair_form_primes((5,), "minus") == ()
+        assert pair_form_primes((5,), "sum") == ()
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match="unknown pair form"):
+            pair_form_primes((1, 2), 1)
 
 
 def factor_e_union(elements, rho, ordered):
