@@ -614,30 +614,31 @@ def verify_t2(elements: Iterable[EInt], rho: EInt, seed: object = None,
                        flagged, primes)
 
 
-def verify_cor1(values: Iterable[int], seed: object = None) -> BoundReport:
-    """omega of the product of a^2 - a*b + b^2 over distinct positive pairs
-    against (log|A| - log 38)/(2 log 3).
+def _verify_cor(theorem: str, form: str, scale: int, values: Iterable[int],
+                seed: object) -> BoundReport:
+    """omega of the product of a pair form over distinct positive pairs
+    against (log|A| - log scale)/(2 log 3).
 
     The pair values are sieved along the root progressions of
     x^2 + x + 1 rather than factored one by one (pair_form_primes); a
     cofactor the sieve primes cannot settle is split into rational
     primes.  No pair value is zero, so nothing is flagged."""
     elements = _positive_set(values)
-    primes = pair_form_primes(elements, "minus")
-    bound = (math.log(len(elements)) - math.log(38)) / (2 * math.log(3))
-    return BoundReport("cor1", None, seed, elements, len(primes), bound, ">",
-                       _above_log(len(primes), 38, 9, len(elements)),
+    primes = pair_form_primes(elements, form)
+    bound = (math.log(len(elements)) - math.log(scale)) / (2 * math.log(3))
+    return BoundReport(theorem, None, seed, elements, len(primes), bound,
+                       ">", _above_log(len(primes), scale, 9, len(elements)),
                        False, primes)
+
+
+def verify_cor1(values: Iterable[int], seed: object = None) -> BoundReport:
+    """Corollary 1: a^2 - a*b + b^2 with the constant 38 (_verify_cor)."""
+    return _verify_cor("cor1", "minus", 38, values, seed)
 
 
 def verify_cor2(values: Iterable[int], seed: object = None) -> BoundReport:
-    """Same as cor1 for a^2 + a*b + b^2, with the constant 146."""
-    elements = _positive_set(values)
-    primes = pair_form_primes(elements, "plus")
-    bound = (math.log(len(elements)) - math.log(146)) / (2 * math.log(3))
-    return BoundReport("cor2", None, seed, elements, len(primes), bound, ">",
-                       _above_log(len(primes), 146, 9, len(elements)),
-                       False, primes)
+    """Corollary 2: a^2 + a*b + b^2 with the constant 146 (_verify_cor)."""
+    return _verify_cor("cor2", "plus", 146, values, seed)
 
 
 def verify_rho_minus1(elements: Iterable[EInt], seed: object = None) -> BoundReport:

@@ -20,8 +20,10 @@ along the roots of x^2 + x + 1, and "sum", a + b, along a = -b.  The
 Eisenstein pair products a + rho*b are sieved the same way in E: each
 prime above a sieve prime maps E onto its residue field.  In both sieves
 a prime divides a pair's value exactly when a residue of a equals a
-residue of b, so one join (_joined) lists the pairs it divides.  Both
-sieves hand the cofactors the table cannot settle to _factor_hard.
+residue of b, so one join (_joined) lists the pairs it divides.  One
+loop, _sieve_pairs, runs both sieves with one stop rule; each sieve
+supplies only its residues per prime and hands the cofactors the sieve
+cannot settle to _factor_hard.
 """
 
 from __future__ import annotations
@@ -31,20 +33,19 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from eulab.core import COORD_BOUND, EInt, divides, exact_div, gcd
 
 INT64_MAX = 2**63 - 1
 
 # The prime table ends at the last prime below this bound, 4093; the
-# search's pair table reads it up to isqrt(3 * 2000^2) = 3464.  The pair
-# sieves read it up to 4096: 4096^2 exceeds 3 * 2000^2, so every pair
-# value of a set up to 2000 is settled by the sieve alone.  Beyond the
-# bound, bucketing the set once per prime costs more than testing the
-# cofactors left: a full sieve to isqrt of the largest pair value made
-# sets of 30 to 100 values up to 10^5 or 10^6 four to thirteen times
-# slower than factoring each pair value.
+# search's pair table reads it up to isqrt(3 * 2000^2) = 3464, and the
+# pair sieves (_sieve_pairs) at most up to 4096.  Beyond the bound,
+# bucketing the set once per prime costs more than testing the cofactors
+# left: a full sieve to isqrt of the largest pair value made sets of 30
+# to 100 values up to 10^5 or 10^6 four to thirteen times slower than
+# factoring each pair value.
 _PAIR_SIEVE_BOUND = 4096
 
 
@@ -133,7 +134,8 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_split(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
+    """A nontrivial factor of composite n, odd or even: _factor_hard
+    passes even values when a pair sieve stopped before 2."""
     for c in range(1, 128):
         y, r, q = 2, 1, 1
         g = 1
@@ -250,18 +252,46 @@ def _joined(akeys: Sequence[int], bkeys: Sequence[int], base: Sequence[int],
             for i in classes.get(c, ()) if i < j]
 
 
-def _divide_out(vals: list[int], hits: Iterable[int], p: int) -> None:
-    """Divide p out of vals[k] completely for each k in hits; p divides
-    each of them."""
-    for k in hits:
-        v = vals[k] // p
-        while v % p == 0:
-            v //= p
-        vals[k] = v
-
-
-# the sign s of the middle term of each quadratic pair form a^2 + s*a*b + b^2
-_QUADRATIC_SIGNS = {"plus": 1, "minus": -1}
+def _sieve_pairs(vals: list[int], n: int, ordered: bool,
+                 residues: Callable[[int], Iterable[tuple]],
+                 ) -> tuple[list, int]:
+    """Sieve in place the values vals of the pairs of n elements, in the
+    pair order of itertools.combinations, or permutations when ordered.
+    For each sieve prime p, residues(p) yields (label, keys, targets): the
+    label, p or a prime of E above it, divides the value of the pair
+    (i, j) exactly when keys[i] == targets[j].  Each label that hits is
+    recorded once, and p is divided out completely of each value hit.
+    Returns the labels in sieve order and a bound below which no value
+    left has a prime factor."""
+    # vals[k] belongs to the pair (i, j) with k = base[i] + j for j > i,
+    # and base[i] + j + 1 for j < i when ordered
+    if ordered:
+        base = [i * (n - 1) - 1 for i in range(n)]
+    else:
+        base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+    # Every prime up to settled is sieved.  A prime p divides about 2/p of
+    # the pair values, so past the number of pairs it would hit fewer than
+    # two on average, and bucketing the set for it costs more than
+    # factoring the cofactors it would shrink: verify_t1 on 3 elements with
+    # coordinates near 1000 took 2.1 ms with the sieve to isqrt of the
+    # largest norm against 0.3 ms with one factor_e call per pair (2 vCPUs,
+    # Python 3.11).
+    settled = min(math.isqrt(max(vals)), _PAIR_SIEVE_BOUND, len(vals))
+    primes = sieve_primes()
+    labels: dict = {}
+    for p in primes[:bisect_right(primes, settled)]:
+        hits: set[int] = set()
+        for label, keys, targets in residues(p):
+            ks = _joined(keys, targets, base, ordered)
+            if ks:
+                labels[label] = None
+                hits.update(ks)
+        for k in hits:
+            v = vals[k] // p
+            while v % p == 0:
+                v //= p
+            vals[k] = v
+    return list(labels), settled + 1
 
 
 def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
@@ -270,75 +300,53 @@ def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
     form is "plus" for a^2 + a*b + b^2, "minus" for a^2 - a*b + b^2 and
     "sum" for a + b.
 
-    The pair values are sieved one prime p at a time, and only the
-    residue match changes with the form.  p divides a + b exactly when
-    a = -b (mod p): _joined matches a mod p against -b mod p.  For the
-    quadratic forms a^2 + s*a*b + b^2, s = 1 or -1, and p not dividing b,
-    p divides the value exactly when a = s*r*b (mod p) for a root r of
-    x^2 + x + 1 mod p; for p | b, exactly when p | a.  The roots are r and
-    1/r, so with t = s*r that is a = t*b or b = t*a: _joined matches a mod
-    p against t*b mod p and t*a against b.  A p without roots divides only
-    pairs of multiples of p and matches class 0 with class 0 alone, once
-    two elements are in it.  Every hit divides p out of its pair value
-    completely.  The primes come from sieve_primes(), up to isqrt of the
-    largest pair value but no further than _PAIR_SIEVE_BOUND.  A cofactor
-    c > 1 left over is prime when every prime up to isqrt(c) was sieved;
-    any other goes to _factor_hard.
+    The pair values are sieved by _sieve_pairs; only the residues of a
+    prime p depend on the form.  p divides a + b exactly when a = -b (mod
+    p).  For the quadratic forms a^2 + s*a*b + b^2, s = 1 or -1, and p not
+    dividing b, p divides the value exactly when a = s*r*b (mod p) for a
+    root r of x^2 + x + 1 mod p; for p | b, exactly when p | a.  The roots
+    are r and 1/r, so with t = s*r that is a = t*b or b = t*a.  A p
+    without roots divides only pairs of multiples of p.  A cofactor c > 1
+    left over is prime when every prime up to isqrt(c) was sieved; any
+    other goes to _factor_hard.
 
     A pair value above INT64_MAX raises the ValueError factor_rational
     would raise, naming the first such value in pair order (i < j).
     """
+    pairs = itertools.combinations(elements, 2)
     if form == "sum":
-        vals = [a + b
-                for i, a in enumerate(elements) for b in elements[i + 1:]]
-    elif form in _QUADRATIC_SIGNS:
-        s = _QUADRATIC_SIGNS[form]
-        vals = [a * a + s * a * b + b * b
-                for i, a in enumerate(elements) for b in elements[i + 1:]]
+        vals = [a + b for a, b in pairs]
+    elif form in ("plus", "minus"):
+        s = 1 if form == "plus" else -1
+        vals = [a * a + s * a * b + b * b for a, b in pairs]
     else:
         raise ValueError(f"unknown pair form {form!r}; expected plus, "
                          "minus or sum")
-    n = len(elements)
     if not vals:
         return ()
-    top = max(vals)
-    if top > INT64_MAX:
+    if max(vals) > INT64_MAX:
         first = next(v for v in vals if v > INT64_MAX)
         raise ValueError(f"{first} is beyond the declared 64-bit input range")
-    # vals[off[i] + j] belongs to the pair (elements[i], elements[j]), i < j
-    off = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
-    primes = sieve_primes()
-    primes = primes[:bisect_right(primes, min(math.isqrt(top),
-                                              _PAIR_SIEVE_BOUND))]
-    found = []
-    for p in primes:
+
+    def residues(p: int) -> Iterable[tuple[int, list[int], list[int]]]:
         keys = [a % p for a in elements]
         if form == "sum":
-            joins = ((keys, [-c % p for c in keys]),)
-        elif roots := _roots_x2_x_1(p):
+            return ((p, keys, [-c % p for c in keys]),)
+        if roots := _roots_x2_x_1(p):
             # a = t*b with t = s*r for the first root r; the other root is
             # 1/r, and a = s*b/r is b = t*a, the same join with its sides
             # swapped (for p = 3, r = 1/r = 1 and the two joins agree)
             scaled = [s * roots[0] * c % p for c in keys]
-            joins = (keys, scaled), (scaled, keys)
-        elif keys.count(0) > 1:
+            return (p, keys, scaled), (p, scaled, keys)
+        if keys.count(0) > 1:
             # a class -1 matches nothing: class 0 joins class 0 alone
-            joins = ((keys, [-1 if c else 0 for c in keys]),)
-        else:
-            continue
-        # both quadratic joins hold the pairs of class 0: the set counts
-        # them once
-        hits = {k for left, right in joins
-                for k in _joined(left, right, off, False)}
-        if hits:
-            found.append(p)
-            _divide_out(vals, hits, p)
-    # Every prime below bound was sieved (primes is empty when top < 4).
-    bound = (primes[-1] if primes else 1) + 1
-    settled_sq = bound * bound
+            return ((p, keys, [-1 if c else 0 for c in keys]),)
+        return ()
+
+    found, bound = _sieve_pairs(vals, len(elements), False, residues)
     large: dict[int, int] = {}
     for v in vals:
-        if 1 < v < settled_sq:
+        if 1 < v < bound * bound:
             large[v] = 1
         elif v > 1:
             _factor_hard(v, large, bound)
@@ -357,23 +365,20 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     evaluating that pair as a + rho*b, or factoring it, raises the
     OverflowError or ValueError of EInt and factor_e.
 
-    The pair values are sieved in E one rational prime p at a time.  Each
-    prime pi above p gives a ring map h onto E/(pi): for p = 3 or p = 1
-    mod 3, omega goes to the root w of x^2 + x + 1 mod p that names
+    The pair norms are sieved by _sieve_pairs.  Each prime pi above a
+    sieve prime p gives a ring map h onto E/(pi): for p = 3 or p = 1 mod
+    3, omega goes to the root w of x^2 + x + 1 mod p that names
     pi = gcd(p, w - omega), and an inert p keeps both coordinates mod p.
-    As pi | a + rho*b exactly when h(a) = h(-rho*b), _joined matches the
-    residues h(a) against the residues h(-rho*b), read off the coordinates
-    of rho*b already at hand, and every hit divides p out of its pair's
-    norm completely.  The primes come from sieve_primes(), up to isqrt of
-    the largest norm but no further than _PAIR_SIEVE_BOUND or the number
-    of pairs.  A norm cofactor m > 1 left over is prime when the sieved
-    primes reach isqrt(m): then it is 3 (only when 3 was not sieved) or a
-    split prime q, and a residue test mod q against the first root of
-    x^2 + x + 1 picks the prime above q that divides the value.  Any
-    other cofactor is split by _factor_hard; of each prime q it yields,
-    q itself divides the value when q = 2 mod 3, and otherwise each prime
-    above q whose root passes the residue test does.  Each prime so picked
-    is named once, after the pairs.  No EInt is built per pair.
+    pi | a + rho*b exactly when h(a) = h(-rho*b), the latter read off the
+    coordinates of rho*b already at hand.  A norm cofactor m > 1 left
+    over is prime when the sieved primes reach isqrt(m): then it is 3
+    (only when 3 was not sieved) or a split prime q, and a residue test
+    mod q against the first root of x^2 + x + 1 picks the prime above q
+    that divides the value.  Any other cofactor is split by _factor_hard;
+    of each prime q it yields, q itself divides the value when q = 2 mod
+    3, and otherwise each prime above q whose root passes the residue
+    test does.  Each prime so picked is named once, after the pairs.  No
+    EInt is built per pair.
     """
     n = len(elements)
     if n < 2:
@@ -390,18 +395,10 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
         right = terms[:i] + terms[i + 1:] if ordered else terms[i + 1:]
         norms.extend([na + nb + x * gx + y * gy for nb, gx, gy in right])
 
-    # norms[k] belongs to the k-th pair (i, j) of pairs(): k = base[i] + j
-    # for j > i, and base[i] + j + 1 for j < i when ordered
     pairs = itertools.permutations if ordered else itertools.combinations
-    if ordered:
-        base = [i * (n - 1) - 1 for i in range(n)]
-    else:
-        base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
-
     widest = (max(max(abs(x), abs(y)) for x, y in coords)
               + max(max(abs(u), abs(v)) for u, v in twisted))
-    top = max(norms)
-    if widest > COORD_BOUND or top > INT64_MAX:
+    if widest > COORD_BOUND or max(norms) > INT64_MAX:
         # Replay the pairs exactly: the first zero, overflowing or
         # oversized value in pair order decides; if none, fall through.
         for i, j in pairs(range(n), 2):
@@ -415,35 +412,16 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
                                      None))
         return (), (elements[i], elements[j])
 
-    # Every prime up to settled is sieved.  A prime p divides about 2/p of
-    # the pair values, so past the number of pairs it would hit fewer than
-    # two on average, and bucketing the set for it costs more than
-    # factoring the cofactors it would shrink: verify_t1 on 3 elements with
-    # coordinates near 1000 took 2.1 ms with the sieve to isqrt(top)
-    # against 0.3 ms with one factor_e call per pair (2 vCPUs, Python 3.11).
-    settled = min(math.isqrt(top), _PAIR_SIEVE_BOUND, len(norms))
-    primes = sieve_primes()
-    primes = primes[:bisect_right(primes, settled)]
-    found: set[EInt] = set()
-    for p in primes:
+    def residues(p: int) -> Iterable[tuple[EInt, list[int], list[int]]]:
         if p % 3 == 2:
             # E/(p) = F_p[omega]; the residue (c0, c1) is coded c0 + p*c1
-            maps = [(EInt(p, 0), [x % p + p * (y % p) for x, y in coords],
-                     [-u % p + p * (-v % p) for u, v in twisted])]
-        else:
-            maps = [(pi, [(x + y * w) % p for x, y in coords],
-                     [-(u + v * w) % p for u, v in twisted])
-                    for pi, w in _primes_above(p)]
-        hits: set[int] = set()
-        for pi, keys, targets in maps:
-            ks = _joined(keys, targets, base, ordered)
-            if ks:
-                found.add(pi)
-                hits.update(ks)
-        _divide_out(norms, hits, p)
+            return ((EInt(p, 0), [x % p + p * (y % p) for x, y in coords],
+                     [-u % p + p * (-v % p) for u, v in twisted]),)
+        return [(pi, [(x + y * w) % p for x, y in coords],
+                 [-(u + v * w) % p for u, v in twisted])
+                for pi, w in _primes_above(p)]
 
-    # A cofactor below settled_sq has no prime factor up to its root.
-    settled_sq = (settled + 1) ** 2
+    found, bound = _sieve_pairs(norms, n, ordered, residues)
     # (q, k) for the k-th prime of _primes_above(q), whose root w has
     # x + y*w = 0 mod q; exactly one prime above a prime cofactor q
     # divides the value, so the first root's test settles k
@@ -452,20 +430,20 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
                                         [m > 1 for m in norms]):
         x = coords[i][0] + twisted[j][0]
         y = coords[i][1] + twisted[j][1]
-        if m < settled_sq:
+        if m < bound * bound:
             w = _primes_above(m)[0][1]
             named.add((m, (x + y * w) % m != 0))
             continue
         qs: dict[int, int] = {}
-        _factor_hard(m, qs, settled + 1)
+        _factor_hard(m, qs, bound)
         for q in qs:
             if q % 3 == 2:
-                found.add(EInt(q, 0))
+                found.append(EInt(q, 0))
             else:
                 named.update((q, k) for k, (_, w) in enumerate(
                     _primes_above(q)) if (x + y * w) % q == 0)
-    found.update(_primes_above(q)[k][0] for q, k in named)
-    return tuple(sorted(found, key=lambda x: (x.norm(), x.a, x.b))), None
+    found.extend(_primes_above(q)[k][0] for q, k in named)
+    return tuple(sorted(set(found), key=lambda x: (x.norm(), x.a, x.b))), None
 
 
 @lru_cache(maxsize=1 << 16)

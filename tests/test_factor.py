@@ -136,6 +136,17 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == (n in primes)
 
 
+# _factor_hard hands _brent_split even composites when a pair sieve
+# stopped before 2, which a set of two elements (one pair) always does
+@pytest.mark.parametrize("n", [
+    4, 6, 8, 12, 16, 36, 64, 210, 900, 1024,
+    2**60, 2**40 + 2**61, 5**20 + 5**21, *(2**k for k in range(2, 63)),
+])
+def test_brent_split_even_composites(n):
+    d = factor._brent_split(n)
+    assert 1 < d < n and n % d == 0
+
+
 def test_prime_pi():
     assert prime_pi(1) == 0
     assert prime_pi(2) == 1
@@ -390,6 +401,25 @@ class TestPairFormPrimes:
             pair_form_primes(elements, form)
         assert str(info.value) == \
             f"{first} is beyond the declared 64-bit input range"
+
+    # one pair stops the sieve before 2: _factor_hard splits the whole
+    # value, even composites and prime powers included
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("elements", [
+        (2**20, 2**21), (5**8, 5**9), (2**10 * 3**5, 2**11 * 3**6),
+        (720720, 1441440), (1, 2**30 - 1),
+    ])
+    def test_two_highly_composite_values(self, elements, form):
+        value = PAIR_FORM_VALUES[form]
+        assert pair_form_primes(elements, form) == \
+            factor_rational_union([value(*elements)])
+
+    @pytest.mark.parametrize("elements", [
+        (1, 2**60 - 1), (2**40, 2**61), (5**20, 5**21),
+    ])
+    def test_two_highly_composite_sums(self, elements):
+        assert pair_form_primes(elements, "sum") == \
+            factor_rational_union([sum(elements)])
 
     def test_fewer_than_two_elements(self):
         assert pair_form_primes((), "plus") == ()
