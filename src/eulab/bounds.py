@@ -17,8 +17,10 @@ their earlier dependency chains on demand, and a whole coloring asks it
 for every unit in enumeration order, where it never has to recurse.  The
 walk runs on the raw coordinate pairs of reduced residues, which are also
 their enumeration rank: products are reduced with ResidueRing.reduce_pair
-and colors are kept by pair, so no EInt is built per residue.  The test
-suite checks queries in any order against an EInt-based greedy oracle.
+and colors are kept by pair, so no EInt is built per residue.  A finished
+Coloring keeps one byte per residue and reads EInt keys through a view.
+The test suite checks queries in any order against an EInt-based greedy
+oracle.
 
 The uv, Lemma 2 (coset) and Lemma 4 (valuation) splits share one bucket
 routine, _split, and both chains one loop, _chain; refine_t2 takes its
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -59,20 +63,86 @@ def _sorted_set(elements: Iterable[EInt]) -> tuple[EInt, ...]:
 # --------------------------------------------------------------------------
 
 class Coloring:
-    """A group assignment for the reduced residues of a prime-power ring."""
+    """A group assignment for the reduced residues of a prime-power ring.
+
+    colors maps the coordinate pair (a, b) of each reduced residue to its
+    group, in the order the residues were colored.  The coloring keeps one
+    byte per residue of the ring's box, at the rank a*d2 + b of the pair
+    (0xFF for a non-unit), and the colored ranks in that order; assignment
+    is a read-only Mapping[EInt, int] view over both, which iterates in
+    the order of colors.
+    """
 
     __slots__ = ("ring", "prime", "groups", "assignment", "delta")
 
     def __init__(self, ring: ResidueRing, prime: EInt, groups: int,
-                 assignment: dict[EInt, int], delta: int | None = None) -> None:
+                 colors: dict[tuple[int, int], int],
+                 delta: int | None = None) -> None:
         self.ring = ring
         self.prime = prime
         self.groups = groups
-        self.assignment = assignment
+        self.assignment = _Assignment(ring, colors)
         self.delta = delta
 
     def group_of(self, x: EInt) -> int:
         return self.assignment[self.ring.reduce(x)]
+
+
+class _Assignment(Mapping):
+    """The EInt-keyed view of a Coloring: the group byte of each reduced
+    residue at its rank, and the ranks in coloring order.  A key that is
+    not a reduced unit of the ring raises KeyError.  Keys, values and
+    items are read off the ranks, with no lookup per key."""
+
+    __slots__ = ("_d1", "_d2", "_table", "_ranks")
+
+    def __init__(self, ring: ResidueRing,
+                 colors: dict[tuple[int, int], int]) -> None:
+        d2 = ring.d2
+        ranks = array("I", [a * d2 + b for a, b in colors])
+        table = bytearray(b"\xff") * ring.size
+        for r, c in zip(ranks, colors.values()):
+            table[r] = c
+        self._d1 = ring.d1
+        self._d2 = d2
+        self._table = bytes(table)
+        self._ranks = ranks
+
+    def __getitem__(self, x: EInt) -> int:
+        if x.__class__ is EInt and 0 <= x.a < self._d1 and 0 <= x.b < self._d2:
+            c = self._table[x.a * self._d2 + x.b]
+            if c != 0xFF:
+                return c
+        raise KeyError(x)
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    def __iter__(self) -> Iterator[EInt]:
+        d2 = self._d2
+        return (EInt(r // d2, r % d2) for r in self._ranks)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self._mapping._table.__getitem__, self._mapping._ranks)
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[EInt, int]]:
+        table, d2 = self._mapping._table, self._mapping._d2
+        return ((EInt(r // d2, r % d2), table[r])
+                for r in self._mapping._ranks)
 
 
 def _is_prime_e(pi: EInt) -> bool:
@@ -116,8 +186,7 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
         if (a, b) not in colors:
             colors[a, b] = 0
             colors[ring.reduce_pair(-a, -b)] = 1
-    assignment = {EInt(a, b): c for (a, b), c in colors.items()}
-    return Coloring(ring, pi, 2, assignment)
+    return Coloring(ring, pi, 2, colors)
 
 
 def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
@@ -154,8 +223,8 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
 
     The pass is _three_group queried on each unit pair in enumeration
     order: every earlier neighbor already has its group then, so the walk
-    never recurses and its memo fills in enumeration order.  EInt keys are
-    built once, for the finished assignment.
+    never recurses and its memo fills in enumeration order.  The memo
+    becomes the Coloring's byte table; no EInt is built per residue.
     """
     if not _is_prime_e(pi):
         raise ValueError("coloring needs a non-unit prime")
@@ -168,8 +237,7 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
     memo: dict[tuple[int, int], int] = {}
     for key in _unit_pairs(ring, pi):
         _three_group(ring, neg, neg_inv, key, memo)
-    assignment = {EInt(a, b): c for (a, b), c in memo.items()}
-    return Coloring(ring, pi, 3, assignment, delta=delta)
+    return Coloring(ring, pi, 3, memo, delta=delta)
 
 
 def _three_group(ring: ResidueRing, neg: tuple[int, int],

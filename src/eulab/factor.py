@@ -5,8 +5,8 @@ One table of the primes up to 4096 serves every routine.  Rational
 factorization trial-divides by it and leaves the cofactor to one routine,
 _factor_hard, which settles a value as prime once the primes below its
 square root are known absent, and otherwise runs a Miller-Rabin base set
-(deterministic far beyond 64-bit inputs) and Brent's cycle-finding
-splitter.
+sized to the value (deterministic below about 3.3e24, far beyond 64-bit
+inputs) and Brent's cycle-finding splitter.
 Factorization in E rides on the rational factorization of the norm: 3
 ramifies onto (2,1), primes 2 mod 3 stay prime, and primes 1 mod 3 split
 into a conjugate pair, gcd(p, w - omega) for the two roots w of
@@ -105,13 +105,30 @@ def prime_pi(x: float) -> int:
     return bisect_right(primes, n)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first k primes as bases is deterministic below psi_k,
+# the least strong pseudoprime to all of them (Jaeschke 1993; Sorenson and
+# Webster 2017, "Strong pseudoprimes to twelve prime bases").  Each entry
+# is (psi_k, k); psi_8 = psi_7 and psi_11 = psi_10 = psi_9, so 8, 10 and 11
+# bases never pay.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMITS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+              (3825123056546413051, 9), (318665857834031151167461, 12),
+              (3317044064679887385961981, 13))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic for every input this package factors (n < 3.3e24)."""
+    """Deterministic Miller-Rabin for n < psi_13 = 3317044064679887385961981
+    (about 3.3e24), with as few prime bases as the size of n allows; n at
+    or above psi_13 raises ValueError.  Every value the package factors is
+    below 2^63."""
     if n < 2:
         return False
+    for psi, count in _MR_LIMITS:
+        if n < psi:
+            break
+    else:
+        raise ValueError(f"is_prime is deterministic only below {psi}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -120,7 +137,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:count]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -199,6 +199,50 @@ class TestThreeColoring:
             three_coloring(LAMBDA, LAMBDA)  # not coprime
 
 
+class TestColoringView:
+    @pytest.mark.parametrize("pi", [LAMBDA, EInt(3, 1), EInt(5, 0)])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind", ["uv", "three"])
+    def test_read_only_view_over_the_table(self, pi, k, kind):
+        if kind == "uv":
+            col = uv_coloring(pi, k)
+            ring = col.ring
+            want = {}
+            for r in reduced_representatives(ring):
+                if r not in want:
+                    want[r] = 0
+                    want[ring.reduce(-r)] = 1
+        else:
+            # rho0 = omega gives delta 0, rho0 = pi - 1 delta 1: the
+            # ring is mod pi^k either way
+            rho0 = OMEGA if k == 1 else pi - ONE
+            col = three_coloring(pi, rho0)
+            ring = col.ring
+            want = three_coloring_greedy(pi, rho0)[2]
+        view = col.assignment
+        assert ring.modulus == pi ** k
+        assert dict(view) == want
+        assert list(view.keys()) == list(want)
+        assert list(view.values()) == list(want.values())
+        assert len(view) == len(want) == len(reduced_representatives(ring))
+        r = next(iter(want))
+        unreduced = r + ring.modulus
+        # zero, a non-unit residue (zero itself when k = 1), an unreduced
+        # unit and a key that is no EInt
+        for key in (ZERO, ring.reduce(pi), unreduced, (r.a, r.b)):
+            assert key not in view
+            assert view.get(key) is None
+            with pytest.raises(KeyError):
+                view[key]
+        assert r in view and view.get(r) == view[r] == want[r]
+        assert col.group_of(unreduced) == want[r]
+        with pytest.raises(KeyError):
+            col.group_of(pi)
+        with pytest.raises(TypeError):
+            view[r] = 1 - view[r]
+        assert dict(view) == want
+
+
 class TestRhoConstants:
     def test_omega_has_trivial_constants(self):
         c = c_constants(OMEGA)

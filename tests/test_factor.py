@@ -136,6 +136,45 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == (n in primes)
 
 
+# Each psi_k, the least strong pseudoprime to the first k prime bases, with
+# the largest prime below it (found with an independent primality test).
+# psi_12 = 399165290221 * 798330580441 fools the twelve bases 2..37.
+PSI_AND_PRIME_BELOW = [
+    (2047, 2039),
+    (1373653, 1373639),
+    (25326001, 25325981),
+    (3215031751, 3215031749),
+    (2152302898747, 2152302898729),
+    (3474749660383, 3474749660329),
+    (341550071728321, 341550071728289),
+    (3825123056546413051, 3825123056546412979),
+    (318665857834031151167461, 318665857834031151167441),
+    (3317044064679887385961981, 3317044064679887385961813),
+]
+
+
+@pytest.mark.parametrize("psi,prime", PSI_AND_PRIME_BELOW)
+def test_is_prime_at_pseudoprime_thresholds(psi, prime):
+    if psi < PSI_AND_PRIME_BELOW[-1][0]:
+        assert not is_prime(psi)
+    else:
+        with pytest.raises(ValueError, match="deterministic only below"):
+            is_prime(psi)
+    assert is_prime(prime)
+    assert not any(is_prime(n) for n in range(prime + 1, psi))
+    if prime < 4 * 10**12:
+        assert _is_prime_by_trial_division(prime)
+
+
+def test_is_prime_matches_trial_division_on_a_seeded_sample():
+    rng = random.Random(24)
+    values = [rng.randrange(2, 10 ** rng.randrange(2, 11)) for _ in range(600)]
+    values += [psi + d for psi, _ in PSI_AND_PRIME_BELOW[:4]
+               for d in range(-30, 31)]
+    for n in values:
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
 # _factor_hard hands _brent_split even composites when a pair sieve
 # stopped before 2, which a set of two elements (one pair) always does
 @pytest.mark.parametrize("n", [
