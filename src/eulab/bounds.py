@@ -15,10 +15,11 @@ that enumerate earlier, so one walk, _three_group, serves every use:
 splitting a set asks it for the colors of a handful of residues, replaying
 their earlier dependency chains on demand, and a whole coloring asks it
 for every unit in enumeration order, where it never has to recurse.  The
-walk runs on the raw coordinate pairs of reduced residues, which are also
-their enumeration rank: products are reduced with ResidueRing.reduce_pair
-and colors are kept by pair, so no EInt is built per residue.  A finished
-Coloring keeps one byte per residue and reads EInt keys through a view.
+walk runs on the raw coordinate pairs of reduced residues: products are
+reduced with ResidueRing.reduce_pair and colors are kept by the rank
+a*d2 + b of a pair, its enumeration position, so no EInt is built per
+residue.  A whole coloring hands the walk its byte table, one byte per
+residue, and reads EInt keys through a view of it.
 The test suite checks queries in any order against an EInt-based greedy
 oracle.
 
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -65,23 +66,20 @@ def _sorted_set(elements: Iterable[EInt]) -> tuple[EInt, ...]:
 class Coloring:
     """A group assignment for the reduced residues of a prime-power ring.
 
-    colors maps the coordinate pair (a, b) of each reduced residue to its
-    group, in the order the residues were colored.  The coloring keeps one
-    byte per residue of the ring's box, at the rank a*d2 + b of the pair
-    (0xFF for a non-unit), and the colored ranks in that order; assignment
-    is a read-only Mapping[EInt, int] view over both, which iterates in
-    the order of colors.
+    table holds one byte per residue of the ring's box: the group of the
+    reduced residue (a, b) at its rank a*d2 + b, and 0xFF for a non-unit.
+    assignment is a read-only Mapping[EInt, int] view over it, which
+    iterates in rank (enumeration) order.
     """
 
     __slots__ = ("ring", "prime", "groups", "assignment", "delta")
 
     def __init__(self, ring: ResidueRing, prime: EInt, groups: int,
-                 colors: dict[tuple[int, int], int],
-                 delta: int | None = None) -> None:
+                 table: bytearray, delta: int | None = None) -> None:
         self.ring = ring
         self.prime = prime
         self.groups = groups
-        self.assignment = _Assignment(ring, colors)
+        self.assignment = _Assignment(ring, table)
         self.delta = delta
 
     def group_of(self, x: EInt) -> int:
@@ -89,24 +87,15 @@ class Coloring:
 
 
 class _Assignment(Mapping):
-    """The EInt-keyed view of a Coloring: the group byte of each reduced
-    residue at its rank, and the ranks in coloring order.  A key that is
-    not a reduced unit of the ring raises KeyError.  Keys, values and
-    items are read off the ranks, with no lookup per key."""
+    """The EInt-keyed view of a Coloring's table.  A key that is not a
+    reduced unit of the ring raises KeyError."""
 
-    __slots__ = ("_d1", "_d2", "_table", "_ranks")
+    __slots__ = ("_d1", "_d2", "_table")
 
-    def __init__(self, ring: ResidueRing,
-                 colors: dict[tuple[int, int], int]) -> None:
-        d2 = ring.d2
-        ranks = array("I", [a * d2 + b for a, b in colors])
-        table = bytearray(b"\xff") * ring.size
-        for r, c in zip(ranks, colors.values()):
-            table[r] = c
+    def __init__(self, ring: ResidueRing, table: bytearray) -> None:
         self._d1 = ring.d1
-        self._d2 = d2
+        self._d2 = ring.d2
         self._table = bytes(table)
-        self._ranks = ranks
 
     def __getitem__(self, x: EInt) -> int:
         if x.__class__ is EInt and 0 <= x.a < self._d1 and 0 <= x.b < self._d2:
@@ -116,33 +105,12 @@ class _Assignment(Mapping):
         raise KeyError(x)
 
     def __len__(self) -> int:
-        return len(self._ranks)
+        return len(self._table) - self._table.count(0xFF)
 
     def __iter__(self) -> Iterator[EInt]:
         d2 = self._d2
-        return (EInt(r // d2, r % d2) for r in self._ranks)
-
-    def values(self) -> ValuesView:
-        return _Values(self)
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-
-class _Values(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[int]:
-        return map(self._mapping._table.__getitem__, self._mapping._ranks)
-
-
-class _Items(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[EInt, int]]:
-        table, d2 = self._mapping._table, self._mapping._d2
-        return ((EInt(r // d2, r % d2), table[r])
-                for r in self._mapping._ranks)
+        return (EInt(r // d2, r % d2)
+                for r, c in enumerate(self._table) if c != 0xFF)
 
 
 def _is_prime_e(pi: EInt) -> bool:
@@ -181,12 +149,14 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
     if k < 1:
         raise ValueError("exponent must be positive")
     ring = ResidueRing(pi ** k)
-    colors: dict[tuple[int, int], int] = {}
+    d2 = ring.d2
+    table = bytearray(b"\xff") * ring.size
     for a, b in _unit_pairs(ring, pi):
-        if (a, b) not in colors:
-            colors[a, b] = 0
-            colors[ring.reduce_pair(-a, -b)] = 1
-    return Coloring(ring, pi, 2, colors)
+        if table[a * d2 + b] == 0xFF:
+            table[a * d2 + b] = 0
+            na, nb = ring.reduce_pair(-a, -b)
+            table[na * d2 + nb] = 1
+    return Coloring(ring, pi, 2, table)
 
 
 def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
@@ -223,8 +193,8 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
 
     The pass is _three_group queried on each unit pair in enumeration
     order: every earlier neighbor already has its group then, so the walk
-    never recurses and its memo fills in enumeration order.  The memo
-    becomes the Coloring's byte table; no EInt is built per residue.
+    never recurses.  Its memo is the Coloring's byte table, filled in
+    place; no EInt is built per residue.
     """
     if not _is_prime_e(pi):
         raise ValueError("coloring needs a non-unit prime")
@@ -234,58 +204,62 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
         raise ValueError("rho0 must be coprime to the prime")
     delta = valuation(pi, ONE + rho0)
     ring, neg, neg_inv = _three_setup(pi, rho0, delta)
-    memo: dict[tuple[int, int], int] = {}
+    table = bytearray(b"\xff") * ring.size
     for key in _unit_pairs(ring, pi):
-        _three_group(ring, neg, neg_inv, key, memo)
-    return Coloring(ring, pi, 3, memo, delta=delta)
+        _three_group(ring, neg, neg_inv, key, table)
+    return Coloring(ring, pi, 3, table, delta=delta)
 
 
 def _three_group(ring: ResidueRing, neg: tuple[int, int],
                  neg_inv: tuple[int, int], key: tuple[int, int],
-                 memo: dict[tuple[int, int], int]) -> int:
+                 memo: bytearray | defaultdict[int, int]) -> int:
     """The greedy group of the reduced residue with coordinate pair key:
     three_coloring's for neg, neg_inv = -rho0, -rho0^(-1), and the uv
-    rule's for -1 as both, whose only neighbor of r is -r.  A pair is its
-    rank, and a group depends only on the groups of the neighbors (the
-    products with neg and neg_inv) that rank below it.  The walk keeps a
-    stack of pairs: the top reduces its two neighbors with
-    ring.reduce_pair, pushes the earlier ones the memo lacks, and once
-    none is missing takes the least group they leave free.  When the two
-    multipliers agree, as in the uv rule, the one neighbor is reduced once
-    and the second counts as a later neighbor.  A pair pushed twice is
-    colored again to the same group."""
-    got = memo.get(key)
-    if got is not None:
-        return got
+    rule's for -1 as both, whose only neighbor of r is -r.  memo maps the
+    rank a*d2 + b of a reduced pair to its group and answers 0xFF for a
+    rank not colored yet: a coloring's byte table, or a defaultdict where
+    the ring is too large for one.  A group depends only on the groups of
+    the neighbors (the products with neg and neg_inv) that rank below it.
+    The walk keeps a stack of pairs: the top reduces its two neighbors
+    with ring.reduce_pair, pushes the earlier ones the memo lacks, and
+    once none is missing takes the least group they leave free.  When the
+    two multipliers agree, as in the uv rule, the one neighbor is reduced
+    once and the second counts as a later neighbor.  A pair pushed twice
+    is colored again to the same group."""
+    d2 = ring.d2
+    c = memo[key[0] * d2 + key[1]]
+    if c != 0xFF:
+        return c
     reduce_pair = ring.reduce_pair
-    get = memo.get
     (na, nb), (ia, ib) = neg, neg_inv
     single = neg == neg_inv
     stack = [key]
     while stack:
-        cur = stack[-1]
-        a, b = cur
+        a, b = stack[-1]
+        rank = a * d2 + b
         # (a + b w)(ma + mb w) with w^2 = -1 - w; -1 stands for a later
         # neighbor, which leaves every group free
         n1 = reduce_pair(a * na - b * nb, a * nb + na * b - b * nb)
-        g1 = get(n1) if n1 < cur else -1
+        r1 = n1[0] * d2 + n1[1]
+        g1 = memo[r1] if r1 < rank else -1
         if single:
             g2 = -1
         else:
             n2 = reduce_pair(a * ia - b * ib, a * ib + ia * b - b * ib)
-            g2 = get(n2) if n2 < cur else -1
-        if g1 is None or g2 is None:
-            if g1 is None:
+            r2 = n2[0] * d2 + n2[1]
+            g2 = memo[r2] if r2 < rank else -1
+        if g1 == 0xFF or g2 == 0xFF:
+            if g1 == 0xFF:
                 stack.append(n1)
-            if g2 is None:
+            if g2 == 0xFF:
                 stack.append(n2)
             continue
         c = 0
         while c == g1 or c == g2:
             c += 1
-        memo[cur] = c
+        memo[rank] = c
         stack.pop()
-    return memo[key]
+    return c
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +374,7 @@ def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
             raise ValueError(
                 "-rho is a power of the prime; use valuation_split")
     ring, neg, neg_inv = _three_setup(pi, rho0, delta)
-    memo: dict[tuple[int, int], int] = {}
+    memo = defaultdict(lambda: 0xFF)
     return _split(elements, pi, "lemma2", 3, lambda a: _three_group(
         ring, neg, neg_inv, _unit_key(ring, pi, a), memo))
 
@@ -430,7 +404,7 @@ def _uv_split(elements: Sequence[EInt], pi: EInt,
     group 0 and the other group 1."""
     ring = ResidueRing(pi)
     neg = ring.reduce_pair(-1, 0)
-    memo: dict[tuple[int, int], int] = {}
+    memo = defaultdict(lambda: 0xFF)
     return _split(elements, pi, "uv", 2, lambda a: _three_group(
         ring, neg, neg, _unit_key(ring, pi, a), memo))
 
@@ -744,6 +718,9 @@ def verify_erdos_turan(values: Iterable[int], seed: object = None) -> BoundRepor
 
 
 def _positive_set(values: Iterable[int]) -> tuple[int, ...]:
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise ValueError("values must be positive integers")
     elements = tuple(sorted(set(values)))
     if len(elements) < 2:
         raise ValueError("need at least two distinct values")

@@ -66,10 +66,10 @@ class VectorSet:
 
 
 def _positive_elements(values: Iterable[int], label: str) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(v) for v in values)))
-    if out and out[0] < 1:
+    values = tuple(values)
+    if any(type(v) is not int or v < 1 for v in values):
         raise ValueError(f"{label} must contain positive integers")
-    return out
+    return tuple(sorted(set(values)))
 
 
 def build_vectors(spec: SparsePolySpec, a_set: Iterable[int],

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,19 +29,34 @@ MINUS_ONE = EInt(-1, 0)
 SMALL_ODD_PRIMES = [LAMBDA, EInt(3, 1), EInt(3, 2), EInt(4, 1), EInt(5, 0)]
 
 
-def _assert_any_order(want, group):
+def _assert_any_order(ring, want, group):
     """group(key, memo) gives want[r] for the pair key of every residue r,
     queried once each with a fresh memo and then all in a shuffled order
     sharing one memo: a walk whose answer depends on what an earlier query
-    left in the memo fails the second pass."""
+    left in the memo fails the second pass.  Both kinds of rank-keyed
+    store are run: a defaultdict and a byte table of the ring's size, each
+    answering 0xFF for a rank not colored yet."""
     keys = [(r.a, r.b) for r in want]
-    for key, value in zip(keys, want.values()):
-        assert group(key, {}) == value, key
     shuffled = keys[:]
     random.Random(len(keys)).shuffle(shuffled)
-    memo = {}
-    got = {key: group(key, memo) for key in shuffled}
-    assert got == dict(zip(keys, want.values()))
+    for fresh in (lambda: defaultdict(lambda: 0xFF),
+                  lambda: bytearray(b"\xff") * ring.size):
+        for key, value in zip(keys, want.values()):
+            assert group(key, fresh()) == value, key
+        memo = fresh()
+        got = {key: group(key, memo) for key in shuffled}
+        assert got == dict(zip(keys, want.values()))
+
+
+def _uv_oracle(ring):
+    """The +- rule on EInts, in enumeration order: the first of each pair
+    met in enumeration order takes group 0."""
+    want = {}
+    for r in reduced_representatives(ring):
+        if r not in want:
+            want[r] = 0
+            want[ring.reduce(-r)] = 1
+    return {r: want[r] for r in reduced_representatives(ring)}
 
 
 class TestUvColoring:
@@ -61,35 +77,31 @@ class TestUvColoring:
 
     @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
     def test_lazy_matches_eager(self, pi):
-        # the +- rule on EInts: the first of each pair met in enumeration
-        # order takes group 0
         col = uv_coloring(pi, 1)
         ring = col.ring
-        want = {}
-        for r in reduced_representatives(ring):
-            if r not in want:
-                want[r] = 0
-                want[ring.reduce(-r)] = 1
+        want = _uv_oracle(ring)
+        # the assignment iterates in enumeration order
         assert list(col.assignment.items()) == list(want.items())
         # the uv rule is the 3-group walk with -1 as both multipliers
         neg = ring.reduce_pair(-1, 0)
-        _assert_any_order(want, lambda key, memo:
+        _assert_any_order(ring, want, lambda key, memo:
                           _three_group(ring, neg, neg, key, memo))
 
     @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
     def test_walk_reduces_one_neighbor_per_step(self, pi):
         # with -1 as both multipliers a fresh query takes at most three
         # steps (r, then -r below it, then r again), one reduction each;
-        # the walk reads nothing of the ring but reduce_pair
+        # the walk reads nothing of the ring but reduce_pair and d2, the
+        # width of the box that turns a pair (a, b) into its rank a*d2 + b
         ring = ResidueRing(pi)
         reduce_pair = ring.reduce_pair
         neg = reduce_pair(-1, 0)
         calls = []
-        counting = SimpleNamespace(reduce_pair=lambda a, b: (
+        counting = SimpleNamespace(d2=ring.d2, reduce_pair=lambda a, b: (
             calls.append((a, b)), reduce_pair(a, b))[1])
         for key in _unit_pairs(ring, pi):
             calls.clear()
-            _three_group(counting, neg, neg, key, {})
+            _three_group(counting, neg, neg, key, defaultdict(lambda: 0xFF))
             assert len(calls) == (3 if reduce_pair(-key[0], -key[1]) < key
                                   else 1), key
 
@@ -181,7 +193,7 @@ class TestThreeColoring:
         neg = ring.reduce(-rho0)
         neg_inv = ring.reduce(-ring.inverse(rho0))
         mults = (neg.a, neg.b), (neg_inv.a, neg_inv.b)
-        _assert_any_order(want, lambda key, memo:
+        _assert_any_order(ring, want, lambda key, memo:
                           _three_group(ring, *mults, key, memo))
 
     @pytest.mark.parametrize("pi,rho0,delta", _oracle_cases())
@@ -207,11 +219,7 @@ class TestColoringView:
         if kind == "uv":
             col = uv_coloring(pi, k)
             ring = col.ring
-            want = {}
-            for r in reduced_representatives(ring):
-                if r not in want:
-                    want[r] = 0
-                    want[ring.reduce(-r)] = 1
+            want = _uv_oracle(ring)
         else:
             # rho0 = omega gives delta 0, rho0 = pi - 1 delta 1: the
             # ring is mod pi^k either way
@@ -529,6 +537,14 @@ class TestVerifiers:
             verify_cor1([0, 1])
         with pytest.raises(ValueError):
             verify_t1([ONE])
+
+    @pytest.mark.parametrize("verify", [verify_cor1, verify_cor2,
+                                        verify_erdos_turan])
+    def test_integers_only(self, verify):
+        # no float, numeric string or bool is taken as a value
+        for values in ([1.5, 2, 3], [2.0, 3], ["7", 2, 3], [True, 2, 3]):
+            with pytest.raises(ValueError):
+                verify(values)
 
 
 # (family, scale, base, exponents j): log_base(scale * base^j / scale) is

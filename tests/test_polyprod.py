@@ -176,3 +176,12 @@ class TestOmegaProduct:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             omega_product(QUADRATIC, [], [1])
+
+    def test_integers_only(self):
+        # no float, numeric string or bool is coerced, in A or in B
+        for a_set, b_set in [([2.9, 3], [1]), (["7"], [1]), ([True], [1]),
+                             ([2, 3], [1.0]), ([2, 3], [False, 1])]:
+            with pytest.raises(ValueError):
+                omega_product(QUADRATIC, a_set, b_set)
+        with pytest.raises(ValueError):
+            build_vectors(QUADRATIC, [1, 2, 3, 4.5], [1, 2, 3, 4])
