@@ -10,18 +10,19 @@ divisibility from their summands; verifiers then check the published
 inequalities on randomized sets.
 
 Color assignments are defined by a greedy pass over ring representatives in
-enumeration order.  A residue's greedy color depends only on neighbors
-that enumerate earlier, so one walk, _three_group, serves every use:
-splitting a set asks it for the colors of a handful of residues, replaying
-their earlier dependency chains on demand, and a whole coloring asks it
-for every unit in enumeration order, where it never has to recurse.  The
-walk runs on the raw coordinate pairs of reduced residues: products are
-reduced with ResidueRing.reduce_pair and colors are kept by the rank
-a*d2 + b of a pair, its enumeration position, so no EInt is built per
-residue.  A whole coloring hands the walk its byte table, one byte per
-residue, and reads EInt keys through a view of it.
-The test suite checks queries in any order against an EInt-based greedy
-oracle.
+enumeration order, on the raw coordinate pairs of reduced residues:
+products are reduced with ResidueRing.reduce_pair, so no EInt is built
+per residue.  The uv (+-) rule has a closed form, _uv_group: a residue
+takes group 0 when it enumerates before its negative.  The 3-group rule
+needs the greedy walk _three_group.  A residue's greedy color depends
+only on neighbors that enumerate earlier, so the one walk serves both
+uses: splitting a set asks it for the colors of a handful of residues,
+replaying their earlier dependency chains on demand, and a whole coloring
+asks it for every unit in enumeration order, where it never has to
+recurse.  Colors are kept by the rank a*d2 + b of a pair, its enumeration
+position.  A whole coloring is a byte table, one byte per residue, and
+reads EInt keys through a view of it.  The test suite checks both rules,
+queried in any order, against EInt-based oracles.
 
 The uv, Lemma 2 (coset) and Lemma 4 (valuation) splits share one bucket
 routine, _split, and both chains one loop, _chain; refine_t2 takes its
@@ -57,6 +58,14 @@ def _ekey(x: EInt) -> tuple[int, int, int]:
 
 def _sorted_set(elements: Iterable[EInt]) -> tuple[EInt, ...]:
     return tuple(sorted(set(elements), key=_ekey))
+
+
+def _distinct_set(elements: Iterable[EInt]) -> tuple[EInt, ...]:
+    """_sorted_set for the E-set bounds and chains, which need a pair."""
+    elements = _sorted_set(elements)
+    if len(elements) < 2:
+        raise ValueError("need at least two distinct elements")
+    return elements
 
 
 # --------------------------------------------------------------------------
@@ -139,10 +148,10 @@ def _unit_pairs(ring: ResidueRing, pi: EInt) -> Iterator[tuple[int, int]]:
 
 
 def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
-    """Two groups on the reduced residues mod pi^k with r and -r separated.
+    """Two groups on the reduced residues mod pi^k with r and -r separated
+    by _uv_group.
 
-    Needs a prime pi of odd norm so that r = -r cannot happen.  The first
-    member of each +- pair met in enumeration order lands in group 0.
+    Needs a prime pi of odd norm so that r = -r cannot happen.
     """
     if pi.norm() % 2 == 0 or not _is_prime_e(pi):
         raise ValueError("uv coloring needs a prime of odd norm")
@@ -152,11 +161,17 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
     d2 = ring.d2
     table = bytearray(b"\xff") * ring.size
     for a, b in _unit_pairs(ring, pi):
-        if table[a * d2 + b] == 0xFF:
-            table[a * d2 + b] = 0
-            na, nb = ring.reduce_pair(-a, -b)
-            table[na * d2 + nb] = 1
+        table[a * d2 + b] = _uv_group(ring, a, b)
     return Coloring(ring, pi, 2, table)
+
+
+def _uv_group(ring: ResidueRing, a: int, b: int) -> int:
+    """The uv group of the reduced unit pair (a, b): 0 when it enumerates
+    before its negative, else 1.  Rank a*d2 + b orders pairs as tuples,
+    since 0 <= b < d2.  This is the greedy pass of the +- rule in closed
+    form: the one neighbor of r is -r, so the first of the two takes
+    group 0 and the other group 1."""
+    return 0 if (a, b) < ring.reduce_pair(-a, -b) else 1
 
 
 def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
@@ -213,26 +228,22 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
 def _three_group(ring: ResidueRing, neg: tuple[int, int],
                  neg_inv: tuple[int, int], key: tuple[int, int],
                  memo: bytearray | defaultdict[int, int]) -> int:
-    """The greedy group of the reduced residue with coordinate pair key:
-    three_coloring's for neg, neg_inv = -rho0, -rho0^(-1), and the uv
-    rule's for -1 as both, whose only neighbor of r is -r.  memo maps the
-    rank a*d2 + b of a reduced pair to its group and answers 0xFF for a
-    rank not colored yet: a coloring's byte table, or a defaultdict where
-    the ring is too large for one.  A group depends only on the groups of
-    the neighbors (the products with neg and neg_inv) that rank below it.
-    The walk keeps a stack of pairs: the top reduces its two neighbors
-    with ring.reduce_pair, pushes the earlier ones the memo lacks, and
-    once none is missing takes the least group they leave free.  When the
-    two multipliers agree, as in the uv rule, the one neighbor is reduced
-    once and the second counts as a later neighbor.  A pair pushed twice
-    is colored again to the same group."""
+    """The greedy group of the reduced residue with coordinate pair key
+    under three_coloring's rule, for neg, neg_inv = -rho0, -rho0^(-1).
+    memo maps the rank a*d2 + b of a reduced pair to its group and
+    answers 0xFF for a rank not colored yet: a coloring's byte table, or a
+    defaultdict where the ring is too large for one.  A group depends only
+    on the groups of the neighbors (the products with neg and neg_inv)
+    that rank below it.  The walk keeps a stack of pairs: the top reduces
+    its two neighbors with ring.reduce_pair, pushes the earlier ones the
+    memo lacks, and once none is missing takes the least group they leave
+    free.  A pair pushed twice is colored again to the same group."""
     d2 = ring.d2
     c = memo[key[0] * d2 + key[1]]
     if c != 0xFF:
         return c
     reduce_pair = ring.reduce_pair
     (na, nb), (ia, ib) = neg, neg_inv
-    single = neg == neg_inv
     stack = [key]
     while stack:
         a, b = stack[-1]
@@ -242,12 +253,9 @@ def _three_group(ring: ResidueRing, neg: tuple[int, int],
         n1 = reduce_pair(a * na - b * nb, a * nb + na * b - b * nb)
         r1 = n1[0] * d2 + n1[1]
         g1 = memo[r1] if r1 < rank else -1
-        if single:
-            g2 = -1
-        else:
-            n2 = reduce_pair(a * ia - b * ib, a * ib + ia * b - b * ib)
-            r2 = n2[0] * d2 + n2[1]
-            g2 = memo[r2] if r2 < rank else -1
+        n2 = reduce_pair(a * ia - b * ib, a * ib + ia * b - b * ib)
+        r2 = n2[0] * d2 + n2[1]
+        g2 = memo[r2] if r2 < rank else -1
         if g1 == 0xFF or g2 == 0xFF:
             if g1 == 0xFF:
                 stack.append(n1)
@@ -397,16 +405,11 @@ def valuation_split(elements: Iterable[EInt], theta: EInt, gamma: int,
 def _uv_split(elements: Sequence[EInt], pi: EInt,
               ) -> tuple[tuple[EInt, ...], SplitRecord]:
     """Halve a zero-free set so that same-bucket unit parts never sum to a
-    multiple of pi; all elements keep v(a+b) = min(v(a), v(b)).
-
-    The uv rule is the 3-group walk with -1 as both multipliers: the only
-    neighbor of r is -r, so whichever of the two enumerates first takes
-    group 0 and the other group 1."""
+    multiple of pi; all elements keep v(a+b) = min(v(a), v(b)).  Each is
+    bucketed by the uv group (_uv_group) of its unit part mod pi."""
     ring = ResidueRing(pi)
-    neg = ring.reduce_pair(-1, 0)
-    memo = defaultdict(lambda: 0xFF)
-    return _split(elements, pi, "uv", 2, lambda a: _three_group(
-        ring, neg, neg, _unit_key(ring, pi, a), memo))
+    return _split(elements, pi, "uv", 2,
+                  lambda a: _uv_group(ring, *_unit_key(ring, pi, a)))
 
 
 # --------------------------------------------------------------------------
@@ -459,9 +462,7 @@ def refine_t1(elements: Iterable[EInt]) -> RefinementTrace:
     (pair_e_primes) rather than factored pair by pair.  The first zero
     pair sum raises ZeroFactorError naming that pair.
     """
-    initial = _sorted_set(elements)
-    if len(initial) < 2:
-        raise ValueError("need at least two distinct elements")
+    initial = _distinct_set(elements)
     primes, zero = pair_e_primes(initial, ONE, ordered=False)
     if zero is not None:
         raise ZeroFactorError(
@@ -507,9 +508,7 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
     """
     if rho.is_zero() or rho == MINUS_ONE:
         raise ValueError("rho must avoid 0 and -1")
-    initial = _sorted_set(elements)
-    if len(initial) < 2:
-        raise ValueError("need at least two distinct elements")
+    initial = _distinct_set(elements)
     primes, zero = pair_e_primes(initial, rho, ordered=True)
     if zero is not None:
         raise ZeroFactorError(
@@ -622,9 +621,7 @@ def verify_t1(elements: Iterable[EInt], seed: object = None) -> BoundReport:
     The pair sums are sieved over the whole set (pair_e_primes) rather
     than factored one by one; a cofactor the sieve primes cannot settle
     is split into rational primes.  A zero pair sum is flagged."""
-    elements = _sorted_set(elements)
-    if len(elements) < 2:
-        raise ValueError("need at least two distinct elements")
+    elements = _distinct_set(elements)
     omega, primes, flagged = _e_pair_omega(elements, ONE, ordered=False)
     bound = (math.log(len(elements) - 1) - math.log(18)) / math.log(2)
     return BoundReport("t1", None, seed, elements, omega, bound, ">",
@@ -644,9 +641,7 @@ def verify_t2(elements: Iterable[EInt], rho: EInt, seed: object = None,
         raise ValueError("rho = -1 is a counting bound; use verify_rho_minus1")
     if rho == ONE and not general:
         return verify_t1(elements, seed=seed)
-    elements = _sorted_set(elements)
-    if len(elements) < 2:
-        raise ValueError("need at least two distinct elements")
+    elements = _distinct_set(elements)
     constants = c_constants(rho)
     omega, primes, flagged = _e_pair_omega(elements, rho, ordered=True)
     bound = (math.log(len(elements)) - math.log(constants.threshold)) / math.log(3)
@@ -688,9 +683,7 @@ def verify_rho_minus1(elements: Iterable[EInt], seed: object = None) -> BoundRep
     primes p with p^2 < |A|: each such prime pins two set members to a
     common residue class by pigeonhole.  The differences are sieved as in
     verify_t1, with rho = -1."""
-    elements = _sorted_set(elements)
-    if len(elements) < 2:
-        raise ValueError("need at least two distinct elements")
+    elements = _distinct_set(elements)
     omega, primes, flagged = _e_pair_omega(elements, MINUS_ONE,
                                            ordered=False)
     count = prime_pi(math.isqrt(len(elements) - 1))
@@ -735,7 +728,7 @@ def _positive_set(values: Iterable[int]) -> tuple[int, ...]:
 
 def random_eint_set(rng: random.Random, size: int, coord_range: int,
                     ) -> tuple[EInt, ...]:
-    if size > (2 * coord_range + 1) ** 2:
+    if coord_range < 0 or size > (2 * coord_range + 1) ** 2:
         raise ValueError("range too small for the requested set size")
     out: set[EInt] = set()
     while len(out) < size:

@@ -250,10 +250,12 @@ def _entry(args):
 
 
 def check_search(k: int, max_element: int, workers: int) -> None:
-    """Reject a search shape that run_search would refuse, before a
-    caller spends time building the pair table for it."""
+    """Reject a search shape that run_search or PairPrimeCache would
+    refuse, before a caller spends time building the pair table for it."""
     if not 2 <= k <= max_element:
         raise ValueError("k must be in 2..max_element")
+    if max_element > MAX_TABLE_ELEMENT:
+        raise ValueError(f"max_element must be in 2..{MAX_TABLE_ELEMENT}")
     if workers < 1:
         raise ValueError("workers must be positive")
 

@@ -119,6 +119,27 @@ def _trial_division_primes(n: int) -> list[int]:
     return out
 
 
+def cyclotomic_at_2(n: int) -> int:
+    """Phi_n(2), the n-th cyclotomic polynomial at 2, as the exact Moebius
+    product of (2^d - 1)^mu(n/d) over the divisors d of n, with mu by
+    trial division."""
+    num = den = 1
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        m = n // d
+        primes = _trial_division_primes(m)
+        if math.prod(primes) != m:
+            continue  # mu(m) = 0
+        if len(primes) % 2:
+            den *= 2 ** d - 1
+        else:
+            num *= 2 ** d - 1
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
+
+
 # the value of each pair form of factor.pair_form_primes
 PAIR_FORM_VALUES = {
     "plus": lambda a, b: a * a + a * b + b * b,

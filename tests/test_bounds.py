@@ -17,7 +17,7 @@ from eulab.bounds import (
     coset_split, phi, random_eint_set, random_int_set, run_trials,
     three_coloring, uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
-    _above_log, _three_group, _unit_pairs, _uv_split,
+    _above_log, _three_group, _unit_pairs, _uv_group, _uv_split,
 )
 from oracles import (
     _canonical_of_norm, _trial_division_primes, n_product_omega,
@@ -82,28 +82,26 @@ class TestUvColoring:
         want = _uv_oracle(ring)
         # the assignment iterates in enumeration order
         assert list(col.assignment.items()) == list(want.items())
-        # the uv rule is the 3-group walk with -1 as both multipliers
-        neg = ring.reduce_pair(-1, 0)
+        # the closed-form rule keeps no memo, so the memo goes unused
         _assert_any_order(ring, want, lambda key, memo:
-                          _three_group(ring, neg, neg, key, memo))
+                          _uv_group(ring, *key))
 
     @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
     def test_walk_reduces_one_neighbor_per_step(self, pi):
-        # with -1 as both multipliers a fresh query takes at most three
-        # steps (r, then -r below it, then r again), one reduction each;
-        # the walk reads nothing of the ring but reduce_pair and d2, the
-        # width of the box that turns a pair (a, b) into its rank a*d2 + b
+        # the uv rule reduces its one neighbor, -r, once per query and in
+        # any order; it reads nothing of the ring but reduce_pair
         ring = ResidueRing(pi)
         reduce_pair = ring.reduce_pair
-        neg = reduce_pair(-1, 0)
         calls = []
-        counting = SimpleNamespace(d2=ring.d2, reduce_pair=lambda a, b: (
+        counting = SimpleNamespace(reduce_pair=lambda a, b: (
             calls.append((a, b)), reduce_pair(a, b))[1])
-        for key in _unit_pairs(ring, pi):
+        want = _uv_oracle(ring)
+        keys = [(r.a, r.b) for r in want]
+        random.Random(str(pi)).shuffle(keys)
+        for key in keys:
             calls.clear()
-            _three_group(counting, neg, neg, key, defaultdict(lambda: 0xFF))
-            assert len(calls) == (3 if reduce_pair(-key[0], -key[1]) < key
-                                  else 1), key
+            assert _uv_group(counting, *key) == want[EInt(*key)], key
+            assert calls == [(-key[0], -key[1])], key
 
     def test_rejects_even_norm_and_units(self):
         with pytest.raises(ValueError):
@@ -380,9 +378,12 @@ class TestCosetSplit:
 
 
 class TestUvSplit:
-    @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
+    # 11 = 2 mod 3 is inert like 5: E/(11) is the 11 x 11 box, so the uv
+    # rule orders pairs by both coordinates
+    @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES + [EInt(11, 0)])
     def test_matches_eager_coloring(self, pi):
         col = uv_coloring(pi)
+        assert dict(col.assignment) == _uv_oracle(col.ring)
         rng = random.Random(f"uv:{pi}")
         for _ in range(12):
             base = random_eint_set(rng, rng.randint(1, 15), 25)

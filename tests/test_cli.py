@@ -193,6 +193,14 @@ class TestVerify:
         assert proc.returncode == 2
         assert "range too small" in proc.stderr
 
+    def test_negative_range(self, capsys):
+        # the size rule alone passes it: (2 * -5 + 1)^2 = 81 >= 2
+        code, out, err = run_cli(["verify", "t1", "--range", "-5", "--size",
+                                  "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "range too small for the requested set size" in err
+
     def test_tokens_follow_theorems(self):
         assert cli.VERIFY_TOKENS == ("t1", "t2", "cor1", "cor2",
                                      "rho-minus1", "erdos-turan")
@@ -554,6 +562,14 @@ class TestSearch:
         assert code == 2
         assert "eulab:" in err
         assert built == []
+
+    def test_table_bound_exits_before_table(self, capsys):
+        code, out, err = run_cli(["search", "--k", "3", "--max", "2001"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "max_element must be in 2..2000" in err
+        assert "building" not in err
 
 
 class TestPolyprod:

@@ -18,8 +18,8 @@ from eulab.factor import (
 from eulab.search import MAX_TABLE_ELEMENT
 from oracles import (
     PAIR_FORM_VALUES, _canonical_of_norm, _e_value_primes,
-    e_pair_primes_naive, enumerate_divisors, gcd_by_factoring,
-    pair_primes_naive,
+    _trial_division_primes, cyclotomic_at_2, e_pair_primes_naive,
+    enumerate_divisors, gcd_by_factoring, pair_primes_naive,
 )
 
 
@@ -459,6 +459,19 @@ class TestPairFormPrimes:
     def test_two_highly_composite_sums(self, elements):
         assert pair_form_primes(elements, "sum") == \
             factor_rational_union([sum(elements)])
+
+    # For i < j and e = j - i the pair value of 2^i and 2^j is
+    # 4^i (2^(3e) - 1)/(2^e - 1), the product of Phi_3d(2) over the d | e
+    # with 3d not dividing e, Phi_3e(2) among them; so the set 1, 2, ...,
+    # 2^(k-1) has the primes of Phi_3e(2) for e = 1..k-1, and 2 from the
+    # pair (2, 4).  The cofactors left past the sieve, which stops at the
+    # number of pairs, reach _factor_hard.
+    @pytest.mark.parametrize("k", range(3, 20))
+    def test_powers_of_two_match_cyclotomic_values(self, k):
+        want = {2}.union(*(_trial_division_primes(cyclotomic_at_2(3 * e))
+                           for e in range(1, k)))
+        assert pair_form_primes(tuple(2 ** i for i in range(k)), "plus") \
+            == tuple(sorted(want))
 
     def test_fewer_than_two_elements(self):
         assert pair_form_primes((), "plus") == ()
