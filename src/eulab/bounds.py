@@ -27,6 +27,8 @@ queried in any order, against EInt-based oracles.
 The uv, Lemma 2 (coset) and Lemma 4 (valuation) splits share one bucket
 routine, _split, and both chains one loop, _chain; refine_t2 takes its
 Lemma 4 prime and every control exponent from one c_constants(rho).
+_rho_parts alone writes rho = pi^gamma * rho0 at a prime and takes
+delta = v(1 + rho0), for c_constants, coset_split and three_coloring.
 """
 
 from __future__ import annotations
@@ -176,7 +178,14 @@ def _uv_group(ring: ResidueRing, a: int, b: int) -> int:
 
 def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
     """(gamma, rho0, delta) for nonzero rho: gamma = v(rho), rho0 =
-    rho / pi^gamma, and delta = v(1 + rho0), or None when rho0 = -1."""
+    rho / pi^gamma, and delta = v(1 + rho0), or None when rho0 = -1.
+
+    pi | x forces N(pi) | N(x), so norms N(pi) does not divide prove
+    gamma = delta = 0 without dividing; a unit or zero pi goes on to
+    valuation, which rejects it."""
+    npi = pi.norm()
+    if npi > 1 and rho.norm() % npi and (ONE + rho).norm() % npi:
+        return 0, rho, 0
     gamma = valuation(pi, rho)
     rho0 = exact_div(rho, pi ** gamma) if gamma else rho
     if rho0 == MINUS_ONE:
@@ -213,11 +222,14 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
     """
     if not _is_prime_e(pi):
         raise ValueError("coloring needs a non-unit prime")
-    if rho0 == MINUS_ONE:
-        raise ValueError("rho0 = -1 has no finite delta")
-    if divides(pi, rho0):
+    # gamma goes first, as delta is None for every -pi^gamma; zero, whose
+    # valuation is infinite (None here), is not coprime either
+    gamma, _, delta = (_rho_parts(pi, rho0) if not rho0.is_zero()
+                       else (None, rho0, 0))
+    if gamma != 0:
         raise ValueError("rho0 must be coprime to the prime")
-    delta = valuation(pi, ONE + rho0)
+    if delta is None:
+        raise ValueError("rho0 = -1 has no finite delta")
     ring, neg, neg_inv = _three_setup(pi, rho0, delta)
     table = bytearray(b"\xff") * ring.size
     for key in _unit_pairs(ring, pi):
@@ -319,13 +331,6 @@ def c_constants(rho: EInt) -> RhoConstants:
                         math.log(threshold) / math.log(3))
 
 
-def c_exponent(pi: EInt, rho: EInt) -> int:
-    """c(pi, rho) for an arbitrary canonical prime (0 when pi is inert
-    to both rho and 1+rho)."""
-    gamma, _, delta = _rho_parts(pi, rho)
-    return gamma + (delta or 0)
-
-
 # --------------------------------------------------------------------------
 # set splits
 # --------------------------------------------------------------------------
@@ -371,16 +376,9 @@ def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
     go anywhere; group 0 by convention.
     """
     elements = _sorted_set(elements)
-    # norms N(pi) does not divide prove gamma = delta = 0 (see _unit_key);
-    # a unit or zero pi goes on to valuation, which rejects it
-    npi = pi.norm()
-    if npi > 1 and rho.norm() % npi and (ONE + rho).norm() % npi:
-        rho0, delta = rho, 0
-    else:
-        _, rho0, delta = _rho_parts(pi, rho)
-        if delta is None:
-            raise ValueError(
-                "-rho is a power of the prime; use valuation_split")
+    _, rho0, delta = _rho_parts(pi, rho)
+    if delta is None:
+        raise ValueError("-rho is a power of the prime; use valuation_split")
     ring, neg, neg_inv = _three_setup(pi, rho0, delta)
     memo = defaultdict(lambda: 0xFF)
     return _split(elements, pi, "lemma2", 3, lambda a: _three_group(
@@ -514,17 +512,15 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
         raise ZeroFactorError(
             f"zero factor from pair ({zero[0]}) + rho*({zero[1]})")
     constants = c_constants(rho)
-    # delta is None only for the prime theta with rho = -theta^gamma
-    special = {pc.pi: pc.gamma for pc in constants.primes
-               if pc.delta is None}
+    listed = {pc.pi: pc for pc in constants.primes}
 
     def split(current, pi):
-        if pi in special:
-            return valuation_split(current, pi, special[pi])
+        # delta is None only for the prime theta with rho = -theta^gamma
+        if pi in listed and listed[pi].delta is None:
+            return valuation_split(current, pi, listed[pi].gamma)
         return coset_split(current, pi, rho)
 
     snapshots, steps = _chain(initial, primes, split)
-    c_of = {pc.pi: pc.c for pc in constants.primes}
     final = snapshots[-1]
     transfer_ok = True
     pairs = 0
@@ -535,7 +531,7 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
             pairs += 1
             f = a + rho * b
             for pi, u in factor_e(f).factors:
-                drop = u - c_of.get(pi, 0)
+                drop = u - (listed[pi].c if pi in listed else 0)
                 if drop <= 0:
                     continue
                 power = pi ** drop
@@ -784,7 +780,7 @@ def run_trials(theorem: str, trials: int, size: int, coord_range: int,
 
 __all__ = [
     "Coloring", "uv_coloring", "three_coloring", "PrimeConstant",
-    "RhoConstants", "c_constants", "c_exponent", "SplitRecord",
+    "RhoConstants", "c_constants", "SplitRecord",
     "coset_split", "valuation_split", "RefinementTrace", "refine_t1",
     "refine_t2", "phi", "BoundReport", "verify_t1", "verify_t2",
     "verify_cor1", "verify_cor2", "verify_rho_minus1", "verify_erdos_turan",

@@ -143,6 +143,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
             raise CliError("verify t2 needs --rho")
     elif args.rho is not None:
         raise CliError(f"verify {token} does not take --rho")
+    elif args.general:
+        raise CliError(f"verify {token} does not take --general")
 
     if args.set is not None:
         kind, check = VERIFIERS[name]
@@ -310,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="verify this one set instead of random trials")
     p.add_argument("--rho", type=_eint_arg, help="multiplier (t2 only)")
     p.add_argument("--general", action="store_true",
-                   help="force the general machinery for rho = 1,0")
+                   help="force the general machinery for rho = 1,0 "
+                        "(t2 only)")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--size", type=int, default=20)
     p.add_argument("--range", type=int, default=100,

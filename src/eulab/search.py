@@ -197,8 +197,10 @@ def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
     gcd = math.gcd
     elems: list[int] = []
 
-    def extend(cands: list, need: int, base: int) -> None:
-        """Choose the remaining need elements from cands."""
+    def extend(cands: list, need: int, base: int,
+               starts: Sequence[int] | None = None) -> None:
+        """Choose the remaining need elements from cands, the first of
+        them at the indices starts when given, else at any index."""
         nonlocal nodes, best
         if need == 1:
             g = gcd(*elems)
@@ -213,7 +215,7 @@ def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
                     continue
                 found.append((*elems, e))
             return
-        for i in range(len(cands) - need + 1):
+        for i in range(len(cands) - need + 1) if starts is None else starts:
             e, u, du = cands[i]
             row = pm[e]
             srow = sc[e]
@@ -229,15 +231,10 @@ def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
             extend(child, need - 1, base + du)
             elems.pop()
 
-    for a in firsts:
-        row = pm[a]
-        srow = sc[a]
-        nodes += max_element - a
-        limit = best - slack
-        cands = [(e, row[e], srow[e]) for e in range(a + 1, max_element + 1)
-                 if row[e].bit_count() + srow[e] <= limit]
-        elems[:] = [a]
-        extend(cands, k - 1, 0)
+    # the root: every element with an empty union, the first chosen
+    # only among firsts (an empty firsts walks nothing)
+    extend([(e, 0, 0) for e in range(1, max_element + 1)], k, 0,
+           starts=[a - 1 for a in firsts])
     return best, found, nodes
 
 

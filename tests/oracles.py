@@ -76,6 +76,15 @@ def three_coloring_greedy(pi: EInt, rho0: EInt):
     return delta, ring.modulus, assignment
 
 
+def control_exponent(pi: EInt, rho: EInt) -> int:
+    """c(pi, rho) = gamma + v(1 + rho0) for nonzero rho = pi^gamma * rho0,
+    from valuations alone: pi^gamma * (1 + rho0) = pi^gamma + rho, so c is
+    v(pi^gamma + rho), or gamma when that sum is zero (rho0 = -1)."""
+    gamma = valuation(pi, rho)
+    shifted = pi ** gamma + rho
+    return gamma if shifted.is_zero() else valuation(pi, shifted)
+
+
 def gcd_by_factoring(x: EInt, y: EInt):
     """gcd from the two factorizations: shared primes at min exponent."""
     from eulab.factor import factor_e

@@ -22,10 +22,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_force_search, gcd_by_factoring
+from oracles import brute_force_search, control_exponent, gcd_by_factoring
 
 from eulab.bounds import (
-    ZeroFactorError, c_constants, c_exponent, coset_split, random_eint_set,
+    ZeroFactorError, c_constants, coset_split, random_eint_set,
     refine_t1, refine_t2, run_trials, three_coloring, uv_coloring,
     valuation_split,
 )
@@ -220,7 +220,7 @@ def test_criterion_06():
                 kept, record = coset_split(elements, pi, rho)
                 assert record.rule == "lemma2"
                 assert 3 * len(kept) >= len(set(elements)), (trial, pi)
-                _check_transfer(kept, pi, rho, c_exponent(pi, rho))
+                _check_transfer(kept, pi, rho, control_exponent(pi, rho))
 
         for trial, elements in enumerate(_random_sets("acceptance:06b",
                                                       200, 14, 40)):

@@ -13,15 +13,15 @@ from eulab.core import (
     EInt, LAMBDA, ONE, OMEGA, ResidueRing, UNITS, ZERO, divides, valuation,
 )
 from eulab.bounds import (
-    BoundReport, SplitRecord, ZeroFactorError, c_constants, c_exponent,
-    coset_split, phi, random_eint_set, random_int_set, run_trials,
+    BoundReport, SplitRecord, ZeroFactorError, c_constants, coset_split,
+    phi, random_eint_set, random_int_set, run_trials,
     three_coloring, uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
-    _above_log, _three_group, _unit_pairs, _uv_group, _uv_split,
+    _above_log, _rho_parts, _three_group, _unit_pairs, _uv_group, _uv_split,
 )
 from oracles import (
-    _canonical_of_norm, _trial_division_primes, n_product_omega,
-    reduced_representatives, three_coloring_greedy,
+    _canonical_of_norm, _trial_division_primes, control_exponent,
+    n_product_omega, reduced_representatives, three_coloring_greedy,
 )
 
 MINUS_ONE = EInt(-1, 0)
@@ -203,10 +203,21 @@ class TestThreeColoring:
         assert list(col.assignment.items()) == list(assignment.items())
 
     def test_rejects_bad_rho0(self):
-        with pytest.raises(ValueError):
-            three_coloring(LAMBDA, MINUS_ONE)
-        with pytest.raises(ValueError):
-            three_coloring(LAMBDA, LAMBDA)  # not coprime
+        not_prime = "coloring needs a non-unit prime"
+        minus_one = "rho0 = -1 has no finite delta"
+        not_coprime = "rho0 must be coprime to the prime"
+        for pi, rho0, message in [
+                (EInt(7, 0), OMEGA, not_prime),
+                (EInt(7, 0), MINUS_ONE, not_prime),
+                (LAMBDA, ZERO, not_coprime),
+                (LAMBDA, MINUS_ONE, minus_one),
+                (LAMBDA, LAMBDA, not_coprime),
+                (EInt(3, 1), OMEGA * EInt(3, 1), not_coprime),
+                # -pi^gamma leaves rho0 / pi^gamma = -1, but is not coprime
+                (LAMBDA, -LAMBDA ** 2, not_coprime)]:
+            with pytest.raises(ValueError) as info:
+                three_coloring(pi, rho0)
+            assert str(info.value) == message, (pi, rho0)
 
 
 class TestColoringView:
@@ -290,10 +301,39 @@ class TestRhoConstants:
         with pytest.raises(ValueError):
             c_constants(MINUS_ONE)
 
-    def test_c_exponent_matches_table(self):
-        assert c_exponent(LAMBDA, -OMEGA) == 1
-        assert c_exponent(EInt(3, 1), -OMEGA) == 0
-        assert c_exponent(EInt(2, 0), ONE) == 1
+    def test_c_matches_oracle_on_every_small_prime(self):
+        # c(pi, rho) >= 1 for a listed prime and 0 for any other
+        primes = _canonical_primes(150)
+        for rho in (OMEGA, -OMEGA, EInt(2, 1), EInt(1, 2), EInt(-2, -1),
+                    EInt(2, 0), EInt(3, 0)):
+            listed = {pc.pi: pc.c for pc in c_constants(rho).primes}
+            assert set(listed) <= set(primes)
+            assert all(c >= 1 for c in listed.values())
+            for pi in primes:
+                assert listed.get(pi, 0) == control_exponent(pi, rho), \
+                    (rho, pi)
+
+
+class TestRhoParts:
+    def test_shortcut_agrees_with_valuations(self):
+        # the same (gamma, rho0, delta) whether or not the norm shortcut
+        # (N(pi) dividing neither N(rho) nor N(1 + rho)) fires
+        fired = {True: 0, False: 0}
+        for pi in _canonical_primes(50):
+            npi = pi.norm()
+            for a in range(-9, 10):
+                for b in range(-9, 10):
+                    rho = EInt(a, b)
+                    if rho.is_zero():
+                        continue
+                    gamma = valuation(pi, rho)
+                    rho0 = rho // pi ** gamma
+                    delta = (None if rho0 == MINUS_ONE
+                             else valuation(pi, ONE + rho0))
+                    assert _rho_parts(pi, rho) == (gamma, rho0, delta)
+                    fired[bool(rho.norm() % npi
+                               and (ONE + rho).norm() % npi)] += 1
+        assert fired[True] and fired[False]
 
 
 def _random_sets(seed, count, size, coord_range):
@@ -318,7 +358,7 @@ class TestCosetSplit:
                 assert record.rule == "lemma2"
                 assert len(kept) * 3 >= len(set(elements))
                 assert record.sizes[record.kept] == len(kept)
-                c = c_exponent(pi, rho)
+                c = control_exponent(pi, rho)
                 for a in kept:
                     for b in kept:
                         f = a + rho * b
@@ -373,8 +413,19 @@ class TestCosetSplit:
         assert sum(record.sizes) == 2
 
     def test_rejects_power_rho(self):
-        with pytest.raises(ValueError):
-            coset_split([ONE, OMEGA], LAMBDA, -LAMBDA)
+        power = "-rho is a power of the prime; use valuation_split"
+        for pi, rho, message in [
+                (LAMBDA, -LAMBDA, power),
+                (LAMBDA, -LAMBDA ** 3, power),
+                (EInt(3, 1), MINUS_ONE, power),
+                # rho = 0 and a unit or zero prime reach valuation,
+                # which rejects them
+                (LAMBDA, ZERO, "valuation of zero is undefined"),
+                (ONE, OMEGA, "valuation needs a non-unit modulus"),
+                (ZERO, OMEGA, "valuation needs a non-unit modulus")]:
+            with pytest.raises(ValueError) as info:
+                coset_split([ONE, OMEGA], pi, rho)
+            assert str(info.value) == message, (pi, rho)
 
 
 class TestUvSplit:

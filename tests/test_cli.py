@@ -158,6 +158,13 @@ class TestVerify:
             ["verify", "cor1", "--rho", "0,1", "--trials", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["t1", "cor1", "rho-minus1"])
+    def test_general_only_for_t2(self, capsys, token):
+        code, out, err = run_cli(
+            ["verify", token, "--general", "--trials", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "--general" in err
+
     def test_integer_theorem_set_file(self, tmp_path, capsys):
         path = write_set(tmp_path, "ints.txt", ["1", "2", "3"])
         code, out, _ = run_cli(["verify", "cor1", "--set", path], capsys)

@@ -199,6 +199,16 @@ class TestRunSearch:
             assert _slice(*table, m, k, firsts, primitive, False)[:2] == (
                 best, expect[:1])
 
+    @pytest.mark.parametrize("all_witnesses", [True, False])
+    def test_empty_slice_walks_nothing(self, cache60, all_witnesses):
+        # an empty range is falsy: the root step must still walk none of
+        # the first elements rather than all of them
+        table = _row_table(cache60, 20)
+        for firsts in ([], range(5, 5)):
+            _, found, nodes = _slice(*table, 20, 3, firsts, False,
+                                     all_witnesses)
+            assert (found, nodes) == ([], 0)
+
     def test_slice_leaf_scans_past_its_first_hit(self):
         # A hand-made table over 1..4 with three primes and no singles:
         # omega(1, 2, 3) = 3, omega(1, 2, 4) = 1, omega(1, 3, 4) = 2.
