@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from eulab.core import (
-    EInt, ONE, ResidueRing, divides, exact_div, gcd, valuation,
+    EInt, ONE, ResidueRing, _ekey, divides, exact_div, gcd, valuation,
 )
 from eulab.factor import (
     factor_e, is_prime, pair_e_primes, pair_form_primes, prime_pi,
@@ -52,10 +52,6 @@ MINUS_ONE = EInt(-1, 0)
 
 class ZeroFactorError(ValueError):
     """A pair produced a zero factor, so the product has no prime data."""
-
-
-def _ekey(x: EInt) -> tuple[int, int, int]:
-    return x.norm(), x.a, x.b
 
 
 def _sorted_set(elements: Iterable[EInt]) -> tuple[EInt, ...]:
@@ -762,8 +758,11 @@ def run_trials(theorem: str, trials: int, size: int, coord_range: int,
                ) -> list[BoundReport]:
     if theorem not in VERIFIERS:
         raise ValueError(f"unknown bound {theorem!r}")
-    if theorem == "t2" and rho is None:
-        raise ValueError("t2 needs a rho")
+    if theorem == "t2":
+        if rho is None:
+            raise ValueError("t2 needs a rho")
+    elif rho is not None or general:
+        raise ValueError(f"{theorem} takes neither rho nor general")
     if trials < 1:
         raise ValueError("trials must be positive")
     if size < 2:

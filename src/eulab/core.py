@@ -197,10 +197,8 @@ class EInt:
         """Index k in 0..5 of the 60-degree sector containing the argument."""
         if self.is_zero():
             raise ValueError("zero has no sector")
-        for k in range(6):
-            if (self * UNITS[(6 - k) % 6]).is_canonical():
-                return k
-        raise AssertionError("unreachable: sectors cover the plane")
+        # UNITS[-k % 6] turns an element of sector k into [0, 60) degrees
+        return -UNITS.index(self.canonical_associate()[1]) % 6
 
 
 # Slot writers that bypass EInt.__setattr__, for __init__ only.
@@ -214,6 +212,11 @@ def _coerce(value: object) -> EInt | None:
     if isinstance(value, int):
         return EInt(value, 0)
     return None
+
+
+def _ekey(x: EInt) -> tuple[int, int, int]:
+    """The element order: by norm, then by the coordinates (a, b)."""
+    return x.norm(), x.a, x.b
 
 
 ZERO = EInt(0, 0)
@@ -313,15 +316,11 @@ class ResidueRing:
         self.size = n
 
     def reduce(self, x: EInt) -> EInt:
-        u, v = x.a, x.b
-        k = u // self.d1
-        u -= k * self.d1
-        v = (v - k * self.c) % self.d2
-        return EInt(u, v)
+        return EInt(*self.reduce_pair(x.a, x.b))
 
     def reduce_pair(self, u: int, v: int) -> tuple[int, int]:
-        """reduce() on raw coordinates: the reduced (a, b) of u + v*omega.
-        Builds no EInt, so u and v may leave the 64-bit range."""
+        """The reduced (a, b) of u + v*omega.  Works on raw coordinates
+        and builds no EInt, so u and v may leave the 64-bit range."""
         k = u // self.d1
         return u - k * self.d1, (v - k * self.c) % self.d2
 

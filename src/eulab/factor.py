@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
-from eulab.core import COORD_BOUND, EInt, divides, exact_div, gcd
+from eulab.core import COORD_BOUND, EInt, _ekey, divides, exact_div, gcd
 
 INT64_MAX = 2**63 - 1
 
@@ -323,9 +323,9 @@ def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
     dividing b, p divides the value exactly when a = s*r*b (mod p) for a
     root r of x^2 + x + 1 mod p; for p | b, exactly when p | a.  The roots
     are r and 1/r, so with t = s*r that is a = t*b or b = t*a.  A p
-    without roots divides only pairs of multiples of p.  A cofactor c > 1
-    left over is prime when every prime up to isqrt(c) was sieved; any
-    other goes to _factor_hard.
+    without roots divides only pairs of multiples of p.  Every cofactor
+    left over goes to _factor_hard, which records it as prime when every
+    prime up to its square root was sieved.
 
     A pair value above INT64_MAX raises the ValueError factor_rational
     would raise, naming the first such value in pair order (i < j).
@@ -363,10 +363,7 @@ def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
     found, bound = _sieve_pairs(vals, len(elements), False, residues)
     large: dict[int, int] = {}
     for v in vals:
-        if 1 < v < bound * bound:
-            large[v] = 1
-        elif v > 1:
-            _factor_hard(v, large, bound)
+        _factor_hard(v, large, bound)
     return tuple(found) + tuple(sorted(large))
 
 
@@ -460,7 +457,7 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
                 named.update((q, k) for k, (_, w) in enumerate(
                     _primes_above(q)) if (x + y * w) % q == 0)
     found.extend(_primes_above(q)[k][0] for q, k in named)
-    return tuple(sorted(set(found), key=lambda x: (x.norm(), x.a, x.b))), None
+    return tuple(sorted(set(found), key=_ekey)), None
 
 
 @lru_cache(maxsize=1 << 16)
@@ -491,7 +488,7 @@ def factor_e(x: EInt) -> EFactorization:
                 out.append((pi, k))
     if not rem.is_unit():
         raise AssertionError(f"non-unit remainder {rem} after factoring {x}")
-    out.sort(key=lambda pe: (pe[0].norm(), pe[0].a, pe[0].b))
+    out.sort(key=lambda pe: _ekey(pe[0]))
     return EFactorization(rem, tuple(out))
 
 

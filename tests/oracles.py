@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 from eulab.core import EInt, ResidueRing, divides, gcd, valuation
 
@@ -126,6 +126,22 @@ def _trial_division_primes(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def leibniz_determinant(rows) -> int:
+    """The determinant of a square integer matrix by the Leibniz formula:
+    the signed sum over every permutation, each sign counted from the
+    inversions of the permutation."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 def cyclotomic_at_2(n: int) -> int:

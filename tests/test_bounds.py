@@ -109,6 +109,10 @@ class TestUvColoring:
         with pytest.raises(ValueError):
             uv_coloring(ONE)
 
+    def test_rejects_exponent_zero(self):
+        with pytest.raises(ValueError, match="^exponent must be positive$"):
+            uv_coloring(LAMBDA, 0)
+
 
 @pytest.mark.parametrize("pi,k", [
     (LAMBDA, 1), (LAMBDA, 2), (LAMBDA, 3),
@@ -453,6 +457,11 @@ class TestUvSplit:
 
 
 class TestValuationSplit:
+    def test_rejects_gamma_zero(self):
+        with pytest.raises(ValueError,
+                           match="^gamma must be a positive integer$"):
+            valuation_split([ONE, EInt(2, 0)], LAMBDA, gamma=0)
+
     def test_guarantee_on_seeded_sets(self):
         theta, gamma = LAMBDA, 2
         rho = -(theta ** gamma)
@@ -587,6 +596,9 @@ class TestVerifiers:
     def test_positive_set_validation(self):
         with pytest.raises(ValueError):
             verify_cor1([0, 1])
+        with pytest.raises(ValueError,
+                           match="^need at least two distinct values$"):
+            verify_cor1([5, 5])
         with pytest.raises(ValueError):
             verify_t1([ONE])
 
@@ -687,6 +699,26 @@ class TestTrials:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             run_trials("t3", 1, 5, 10, seed=0)
+
+    @pytest.mark.parametrize("theorem", ["t1", "cor1", "cor2", "rho_minus1",
+                                         "erdos_turan"])
+    @pytest.mark.parametrize("extra", [dict(rho=OMEGA), dict(general=True)],
+                             ids=["rho", "general"])
+    def test_only_t2_takes_rho_or_general(self, monkeypatch, theorem, extra):
+        def no_draw(*args):
+            raise AssertionError("a set was drawn")
+
+        monkeypatch.setattr(bounds, "random_eint_set", no_draw)
+        monkeypatch.setattr(bounds, "random_int_set", no_draw)
+        with pytest.raises(ValueError) as exc:
+            run_trials(theorem, 1, 5, 10, 3, **extra)
+        assert str(exc.value) == f"{theorem} takes neither rho nor general"
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_t2_needs_rho(self, general):
+        with pytest.raises(ValueError) as exc:
+            run_trials("t2", 1, 5, 10, 3, general=general)
+        assert str(exc.value) == "t2 needs a rho"
 
     def test_int_set_requires_room(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,12 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "--general" in err
 
+    def test_set_file_of_comments_only(self, tmp_path, capsys):
+        path = write_set(tmp_path, "empty.txt", ["# no values", "", "# end"])
+        code, out, err = run_cli(["verify", "cor1", "--set", path], capsys)
+        assert code == 2 and out == ""
+        assert err == f"eulab: {path}: no elements\n"
+
     def test_integer_theorem_set_file(self, tmp_path, capsys):
         path = write_set(tmp_path, "ints.txt", ["1", "2", "3"])
         code, out, _ = run_cli(["verify", "cor1", "--set", path], capsys)
@@ -653,6 +659,14 @@ class TestPolyprod:
         assert out == ""
         assert "must be an integer" in err or "must be integers" in err
         assert "Traceback" not in err
+
+    def test_missing_poly_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        a = write_set(tmp_path, "a.txt", ["1", "2"])
+        code, out, err = run_cli(
+            ["polyprod", "--poly", path, "--set-a", a, "--set-b", a], capsys)
+        assert code == 2 and out == ""
+        assert err == f"eulab: cannot read {path}: No such file or directory\n"
 
     def test_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "short.json"

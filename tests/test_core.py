@@ -148,6 +148,18 @@ def test_same_sector_sum_grows(x, y):
         assert s.norm() > max(x.norm(), y.norm())
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ResidueRing(ZERO), ValueError, "modulus must be nonzero"),
+    (lambda: divides(ZERO, ONE), ZeroDivisionError, "divisibility by zero"),
+    (lambda: exact_div(ONE, ZERO), ZeroDivisionError, "division by zero"),
+    (lambda: ZERO.sector_index(), ValueError, "zero has no sector"),
+], ids=["ResidueRing", "divides", "exact_div", "sector_index"])
+def test_zero_rejected_by_name(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------------- divmod/gcd
 
 def test_divmod_example():

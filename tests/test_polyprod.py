@@ -1,5 +1,6 @@
 """Sparse polynomial specs, vector lifts, exact determinants, omega."""
 
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from eulab.polyprod import (
     IndependenceReport, SparsePolySpec, VectorSet, build_vectors,
     check_independence, integer_determinant, omega_product,
 )
+from oracles import leibniz_determinant
 
 QUADRATIC = SparsePolySpec(3, (1, 1, 1), (2, 1))  # x^2 + x*y + y^2
 
@@ -86,6 +88,7 @@ class TestDeterminant:
         assert integer_determinant([[1, 2], [3, 4]]) == -2
         assert integer_determinant([[0, 1], [1, 0]]) == -1
         assert integer_determinant([[1, 2], [2, 4]]) == 0
+        assert integer_determinant([]) == 1
 
     def test_matches_vandermonde(self):
         ys = [1, 2, 3]
@@ -95,24 +98,18 @@ class TestDeterminant:
         assert integer_determinant(rows) == expect
 
     def test_random_against_permutation_expansion(self):
-        from itertools import permutations
         rng = random.Random(7)
         for _ in range(25):
             n = rng.randint(1, 4)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            expect = 0
-            for perm in permutations(range(n)):
-                sign = 1
-                seen = list(perm)
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if seen[i] > seen[j]:
-                            sign = -sign
-                term = sign
-                for i, j in enumerate(perm):
-                    term *= rows[i][j]
-                expect += term
-            assert integer_determinant(rows) == expect
+            assert integer_determinant(rows) == leibniz_determinant(rows)
+
+    def test_every_sign_matrix(self):
+        # many of these have a column with no nonzero entry on or below
+        # the diagonal, where the elimination returns 0 early
+        for entries in itertools.product((-1, 0, 1), repeat=9):
+            rows = [list(entries[i:i + 3]) for i in (0, 3, 6)]
+            assert integer_determinant(rows) == leibniz_determinant(rows)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from eulab.core import EInt, LAMBDA, ONE, OMEGA, valuation
+import eulab.bounds as bounds
+from eulab.core import EInt, LAMBDA, ONE, OMEGA, UNITS, valuation
 from eulab.bounds import (
-    ZeroFactorError, c_constants, phi, random_eint_set, refine_t1, refine_t2,
+    SplitRecord, ZeroFactorError, c_constants, phi, random_eint_set,
+    refine_t1, refine_t2,
 )
 from oracles import _power_of_prime
 
@@ -149,3 +151,52 @@ class TestRefineT2:
             refine_t2([ONE, OMEGA], EInt(0, 0))
         with pytest.raises(ValueError):
             refine_t2([ONE, OMEGA], EInt(-1, 0))
+
+
+# Random sets shrink to one element, which leaves no pair for the final
+# checks; these sets keep two, so the checks test something.
+SCALES = [u * EInt(2 ** k, 0) for u in UNITS for k in (1, 2, 3)]
+
+
+def _keep_all(monkeypatch):
+    """Make every split keep the whole set, so the final checks see a set
+    the chain never refined."""
+    def keep(elements, prime, *_):
+        elements = tuple(elements)
+        return elements, SplitRecord(prime, "keep", (len(elements),), 0)
+
+    for name in ("_uv_split", "coset_split", "valuation_split"):
+        monkeypatch.setattr(bounds, name, keep)
+
+
+class TestFinalChecks:
+    @pytest.mark.parametrize("scale", SCALES, ids=str)
+    def test_t1_keeps_a_pair(self, scale):
+        trace = refine_t1([scale * m for m in (1, 3, 5)])
+        assert set(trace.final) == {scale * 3, scale * 5}
+        assert trace.checks["pairs_checked"] == 1
+        assert trace.checks["valuation_transfer_ok"]
+
+    @pytest.mark.parametrize("rho", [EInt(0, -1), EInt(2, 1)], ids=str)
+    @pytest.mark.parametrize("scale", SCALES, ids=str)
+    def test_t2_keeps_a_pair(self, rho, scale):
+        trace = refine_t2([scale, -scale], rho)
+        assert set(trace.final) == {scale, -scale}
+        checks = trace.checks
+        assert checks["pairs_checked"] == 2 and checks["primes_checked"]
+        assert checks["divisibility_transfer_ok"]
+        assert checks["phi_count_within_bound"]
+        assert checks["phi_all_divide_c_rho"]
+
+    def test_t1_check_fails_without_splits(self, monkeypatch):
+        _keep_all(monkeypatch)
+        # v(1 + 2) = 2 at 2 + omega, where both summands have valuation 0
+        assert not refine_t1([ONE, EInt(2, 0)]).checks[
+            "valuation_transfer_ok"]
+
+    @pytest.mark.parametrize("rho", [OMEGA, LAMBDA, -LAMBDA], ids=str)
+    def test_t2_checks_fail_without_splits(self, monkeypatch, rho):
+        _keep_all(monkeypatch)
+        checks = refine_t2([ONE, EInt(2, 0), EInt(3, 1)], rho).checks
+        assert not checks["divisibility_transfer_ok"]
+        assert not checks["phi_all_divide_c_rho"]
