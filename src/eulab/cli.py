@@ -27,6 +27,8 @@ import re
 import sys
 import time
 from csv import writer as csv_writer
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from eulab import __version__
@@ -249,6 +251,45 @@ def _render_csv(out: dict) -> str:
     return buf.getvalue()
 
 
+def _render(obj, nl: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if kind is dict and obj:
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _render(v, inner)
+             for k, v in obj.items()]) + nl + "}"
+    if kind is list and obj:
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(encode_basestring_ascii, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_render(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(obj, indent=2).replace("\n", nl)
+
+
+def _render_json(obj) -> str:
+    """Exactly json.dumps(obj, indent=2), without json's pure-Python
+    encoder for the common shapes: dicts and lists recurse with the
+    newline and indent of their own line, a str or int (by type, so never
+    bool) is encoded by json's C encoder or int.__repr__, and a list of
+    only str or only int is one C-level join.  Any other value is
+    json.dumps'd and re-indented, which is exact because an encoded value
+    holds no raw newline inside a string; a key json would convert (not a
+    str) makes encode_basestring_ascii raise TypeError, and the whole
+    object then goes to json.dumps."""
+    try:
+        return _render(obj, "\n")
+    except TypeError:
+        return json.dumps(obj, indent=2)
+
+
 def _null_volatile(obj):
     if isinstance(obj, dict):
         return {k: None if k in _VOLATILE_KEYS else _null_volatile(v)
@@ -286,7 +327,10 @@ _HANDLERS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: parse_args does not
+    change it, and building it costs about a millisecond per call."""
     parser = argparse.ArgumentParser(
         prog="eulab",
         description="Eisenstein-integer arithmetic, pair-product prime "
@@ -364,7 +408,7 @@ def main(argv=None) -> int:
     if getattr(args, "format", "json") == "csv":
         text = _render_csv(out)
     else:
-        text = json.dumps(out, indent=2) + "\n"
+        text = _render_json(out) + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
         try:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
-from eulab.core import COORD_BOUND, EInt, _ekey, divides, exact_div, gcd
+from eulab.core import COORD_BOUND, EInt, _ekey, divides, exact_div
 
 INT64_MAX = 2**63 - 1
 
@@ -77,19 +77,42 @@ def _roots_x2_x_1(p: int) -> tuple[int, ...]:
             return (r, r * r % p)
 
 
+def _canonical(a: int, b: int) -> EInt:
+    """The canonical associate of a + b*omega != 0: (a, b) -> (a - b, a)
+    is multiplication by the unit 1 + omega, a turn of 60 degrees."""
+    while b < 0 or a <= b:
+        a, b = a - b, a
+    return EInt(a, b)
+
+
 @lru_cache(maxsize=4096)
 def _primes_above(p: int) -> tuple[tuple[EInt, int], ...]:
     """The canonical primes above the prime p = 3 or p = 1 (mod 3) as
-    pairs (gcd(p, w - omega), w), one per root w of x^2 + x + 1 mod p in
-    the order of _roots_x2_x_1(p): w is the residue of omega modulo that
-    prime.  For p = 1 mod 3 the second root w^2 = -1 - w has
-    w^2 - omega = -conj(w - omega) mod p, so its prime is the conjugate of
-    the first."""
+    pairs (pi, w), one per root w of x^2 + x + 1 mod p in the order of
+    _roots_x2_x_1(p): pi divides w - omega, so w is the residue of omega
+    modulo pi.  The multiples of pi are the lattice of x + y*omega with
+    x + y*w = 0 (mod p), and pi is its shortest nonzero vector: the
+    Gauss-Lagrange reduction of the basis (p, 0), (-w, 1) under the norm
+    x^2 - xy + y^2.  For p = 1 mod 3 the second root w^2 = -1 - w has
+    w^2 - omega = -conj(w - omega) mod p, so its prime is the conjugate
+    of the first."""
     roots = _roots_x2_x_1(p)
-    pi = gcd(EInt(p, 0), EInt(roots[0], -1))
-    if pi.norm() != p:
-        raise AssertionError(f"norm of {pi} above {p} is {pi.norm()}")
-    return tuple(zip((pi, pi.conj().canonical_associate()[0]), roots))
+    # u = (a, b) is kept no longer than v = (c, d); m is the norm of u
+    a, b, c, d = -roots[0], 1, p, 0
+    m = a * a - a + 1
+    while True:
+        # v - q*u with q the nearest integer to <u, v> / N(u), where
+        # 2<u, v> = 2ac + 2bd - ad - bc
+        q = (2 * (a * c + b * d) - a * d - b * c + m) // (2 * m)
+        c, d = c - q * a, d - q * b
+        n = c * c - c * d + d * d
+        if n >= m:
+            break
+        a, b, c, d, m = c, d, a, b, n
+    if m != p:
+        raise AssertionError(f"shortest vector {a},{b} above {p} has "
+                             f"norm {m}")
+    return tuple(zip((_canonical(a, b), _canonical(a - b, -b)), roots))
 
 
 def prime_pi(x: float) -> int:
@@ -440,11 +463,12 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     # x + y*w = 0 mod q; exactly one prime above a prime cofactor q
     # divides the value, so the first root's test settles k
     named: set[tuple[int, int]] = set()
+    bound2 = bound * bound
     for (i, j), m in itertools.compress(zip(pairs(range(n), 2), norms),
                                         [m > 1 for m in norms]):
         x = coords[i][0] + twisted[j][0]
         y = coords[i][1] + twisted[j][1]
-        if m < bound * bound:
+        if m < bound2:
             w = _primes_above(m)[0][1]
             named.add((m, (x + y * w) % m != 0))
             continue

@@ -98,6 +98,14 @@ def gcd_by_factoring(x: EInt, y: EInt):
     return g.canonical_associate()[0]
 
 
+def primes_above_by_gcd(p: int, roots: tuple[int, ...]) -> tuple:
+    """The canonical primes above p = 3 or p = 1 (mod 3) paired with the
+    roots w of x^2 + x + 1 mod p: the Euclidean gcd(p, w - omega) in E for
+    the first root and its conjugate for the second."""
+    pi = gcd(EInt(p, 0), EInt(roots[0], -1))
+    return tuple(zip((pi, pi.conj().canonical_associate()[0]), roots))
+
+
 def _power_of_prime(x: EInt) -> tuple[EInt, int] | None:
     """(theta, gamma) when x is exactly a positive power of a canonical
     prime, unit part included, from the factorization of x; otherwise

@@ -775,6 +775,112 @@ class TestDigest:
         assert cli.output_digest(obj) == reference_digest(obj)
 
 
+def _render_argv(case, tmp_path):
+    """One real invocation per output shape: every subcommand, each
+    verify token and both refine chains."""
+    if case in ("refine", "polyprod"):
+        return _subcommand_argv(case, tmp_path)
+    if case == "refine-additive":
+        return _subcommand_argv("refine", tmp_path)[:3]
+    if case.startswith("verify "):
+        token = case.split()[1]
+        rho = ["--rho", "2,1"] if token == "t2" else []
+        return ["verify", token, *rho, "--trials", "2", "--size", "8",
+                "--range", "30", "--seed", "3"]
+    return {
+        "factor-n": ["factor", "--n", "-9223372021822390277"],
+        "factor-e": ["factor", "--e", "-84,-420"],
+        "omega-e": ["omega-e", "--e", "12,0"],
+        "tau": ["tau", "--e", "2,1"],
+        "crho": ["crho", "--rho", "-2,-1"],
+        "search": ["search", "--k", "3", "--max", "12", "--all-witnesses"],
+    }[case]
+
+
+# JSON values of every kind json.dumps takes, and lists of only str or
+# only int (the renderer's joined leaves) or only bool (never joined)
+_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", "a\"b\\c", "\n\t\x00\x1f\x7f", "\u00e9\u2603\U0001f600"])
+_RENDER_LEAVES = (st.none() | st.booleans()
+                  | st.integers() | st.integers(-2**200, 2**200)
+                  | st.floats() | st.sampled_from([float("nan"), float("inf"),
+                                                   -float("inf"), -0.0])
+                  | _TEXT)
+_RENDER_JSON = st.recursive(
+    _RENDER_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(_TEXT, max_size=5) | st.lists(st.integers(), max_size=5)
+    | st.lists(st.booleans(), max_size=5)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=30)
+
+
+class TestRender:
+    @pytest.mark.parametrize("case", [
+        "factor-n", "factor-e", "omega-e", "tau", "crho",
+        *(f"verify {t}" for t in cli.VERIFY_TOKENS),
+        "refine", "refine-additive", "search", "polyprod"])
+    def test_subcommand_output(self, case, tmp_path, capsys, monkeypatch):
+        rendered = []
+        real = cli._render_json
+
+        def render(obj):
+            rendered.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(cli, "_render_json", render)
+        code, out, _ = run_cli(_render_argv(case, tmp_path), capsys)
+        assert code in (0, 1)
+        [obj] = rendered
+        assert out == json.dumps(obj, indent=2) + "\n"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_RENDER_JSON)
+    def test_matches_json_dumps(self, value):
+        assert cli._render_json(value) == json.dumps(value, indent=2)
+
+    def test_bool_and_non_str_keys(self):
+        for value in ([True, False], [1, True], {"a": [0, False]},
+                      {1: "x", "b": [2]}, {None: 1.5, True: []}, [[], {}],
+                      {"n": [-0.0, float("nan"), 10**30]}):
+            assert cli._render_json(value) == json.dumps(value, indent=2)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_call_order_does_not_leak(self, tmp_path, capsys):
+        path = write_set(tmp_path, "s.txt", ["1,0", "2,0", "3,0", "5,0"])
+        calls = {
+            "refine": ["refine", "--set", path],
+            "verify": ["verify", "t1", "--trials", "2", "--size", "6",
+                       "--seed", "5"],
+            "rejected": ["verify", "t1", "--size", "many"],
+            "cli-error": ["verify", "cor1", "--rho", "1,0"],
+            "search": ["search", "--k", "3", "--max", "12",
+                       "--format", "csv"],
+        }
+
+        def run_in(order):
+            got = {}
+            for name in order:
+                try:
+                    code = cli.main(calls[name])
+                except SystemExit as exc:
+                    code = exc.code
+                got[name] = (code, capsys.readouterr().out)
+            return got
+
+        first = run_in(["refine", "verify", "rejected", "cli-error",
+                        "search"])
+        second = run_in(["search", "cli-error", "rejected", "verify",
+                         "refine"])
+        assert first == second
+        assert [first[k][0] for k in calls] == [0, 0, 2, 2, 0]
+        assert first["search"][1].startswith("k,max,minimum")
+
+
 class TestSubprocess:
     def test_module_entry(self):
         proc = subprocess.run(

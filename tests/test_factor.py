@@ -20,6 +20,7 @@ from oracles import (
     PAIR_FORM_VALUES, _canonical_of_norm, _e_value_primes,
     _trial_division_primes, cyclotomic_at_2, e_pair_primes_naive,
     enumerate_divisors, gcd_by_factoring, pair_primes_naive,
+    primes_above_by_gcd,
 )
 
 
@@ -227,6 +228,21 @@ def test_split_prime_pairs_match_norm_oracle():
         assert {pi for pi, _ in above} == set(_canonical_of_norm(p)), p
         for pi, w in above:
             assert divides(pi, EInt(w, -1)), (p, w)
+        assert above == primes_above_by_gcd(p, _roots_x2_x_1(p)), p
+
+
+def test_split_primes_by_reduction_match_gcd_at_64_bits():
+    # The lattice reduction names the same primes as the Euclidean gcd
+    # for split p near 10^12 and just below 2^62, the sizes of the prime
+    # cofactors _factor_hard hands to pair_e_primes.
+    for top in (10**12, 2**62):
+        ps = [p for p in range(top - 1, top - 4000, -1)
+              if p % 6 == 1 and is_prime(p)][:25]
+        assert len(ps) == 25, top
+        for p in ps:
+            above = _primes_above(p)
+            assert above == primes_above_by_gcd(p, _roots_x2_x_1(p)), p
+            assert all(pi.norm() == p for pi, _ in above), p
 
 
 def test_factor_e_examples():
