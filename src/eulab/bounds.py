@@ -29,6 +29,8 @@ routine, _split, and both chains one loop, _chain; refine_t2 takes its
 Lemma 4 prime and every control exponent from one c_constants(rho).
 _rho_parts alone writes rho = pi^gamma * rho0 at a prime and takes
 delta = v(1 + rho0), for c_constants, coset_split and three_coloring.
+Those parts, and the unit parts a / pi^v(a) the splits bucket
+(_unit_key), come from core's one pi-power strip, _strip.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from eulab.core import (
-    EInt, ONE, ResidueRing, _ekey, divides, exact_div, gcd, valuation,
+    EInt, ONE, ResidueRing, _ekey, _strip, divides, exact_div, gcd, valuation,
 )
 from eulab.factor import (
     factor_e, is_prime, pair_e_primes, pair_form_primes, prime_pi,
@@ -175,18 +177,12 @@ def _uv_group(ring: ResidueRing, a: int, b: int) -> int:
 def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
     """(gamma, rho0, delta) for nonzero rho: gamma = v(rho), rho0 =
     rho / pi^gamma, and delta = v(1 + rho0), or None when rho0 = -1.
-
-    pi | x forces N(pi) | N(x), so norms N(pi) does not divide prove
-    gamma = delta = 0 without dividing; a unit or zero pi goes on to
-    valuation, which rejects it."""
-    npi = pi.norm()
-    if npi > 1 and rho.norm() % npi and (ONE + rho).norm() % npi:
-        return 0, rho, 0
-    gamma = valuation(pi, rho)
-    rho0 = exact_div(rho, pi ** gamma) if gamma else rho
+    Both come from core's strip, whose norm test settles v = 0 without
+    dividing and which rejects a unit or zero pi."""
+    gamma, rho0 = _strip(pi, rho)
     if rho0 == MINUS_ONE:
         return gamma, rho0, None
-    return gamma, rho0, valuation(pi, ONE + rho0)
+    return gamma, rho0, _strip(pi, ONE + rho0)[0]
 
 
 def _three_setup(pi: EInt, rho0: EInt, delta: int,
@@ -353,12 +349,8 @@ def _split(elements: Iterable[EInt], prime: EInt, rule: str, groups: int,
 
 def _unit_key(ring: ResidueRing, pi: EInt, a: EInt) -> tuple[int, int]:
     """The reduced coordinate pair of the unit part a / pi^v(a) of a
-    nonzero a.  pi | a forces N(pi) | N(a), so a norm that N(pi) does not
-    divide proves v(a) = 0 without dividing."""
-    if a.norm() % pi.norm() == 0:
-        v = valuation(pi, a)
-        if v:
-            a = exact_div(a, pi ** v)
+    nonzero a, stripped by core's _strip."""
+    a = _strip(pi, a)[1]
     return ring.reduce_pair(a.a, a.b)
 
 

@@ -156,11 +156,7 @@ class EInt:
         if other.is_zero():
             raise ZeroDivisionError("division by zero in E")
         sa, sb, oa, ob = self.a, self.b, other.a, other.b
-        # self * conj(other), kept as raw integers: may exceed the
-        # coordinate range and that is fine for an intermediate.
-        na = sa * oa - sa * ob + sb * ob
-        nb = sb * oa - sa * ob
-        n = oa * oa - oa * ob + ob * ob
+        na, nb, n = _quotient(sa, sb, oa, ob)
         qa, qb = _round_half_down(na, n), _round_half_down(nb, n)
         # self - q*other on plain ints too: q*other may leave the range
         # when q and the remainder both fit.
@@ -184,14 +180,16 @@ class EInt:
         return self.b >= 0 and self.a > self.b
 
     def canonical_associate(self) -> tuple[EInt, EInt]:
-        """The unique canonical associate y and the unit u with y = u * x."""
+        """The unique canonical associate y and the unit u with y = u * x.
+        (a, b) -> (a - b, a) is the product by 1 + omega, a 60-degree turn,
+        so t turns give u = UNITS[t].  A turn that leaves the coordinate
+        range ends the loop, and EInt raises as that product would."""
         if self.is_zero():
             raise ValueError("zero has no canonical associate")
-        for u in UNITS:
-            y = self * u
-            if y.is_canonical():
-                return y, u
-        raise AssertionError("unreachable: some associate is canonical")
+        a, b, t = self.a, self.b, 0
+        while (b < 0 or a <= b) and -COORD_BOUND <= a <= COORD_BOUND:
+            a, b, t = a - b, a, t + 1
+        return (EInt(a, b) if t else self), UNITS[t]
 
     def sector_index(self) -> int:
         """Index k in 0..5 of the 60-degree sector containing the argument."""
@@ -250,14 +248,18 @@ def _xgcd(x: EInt, y: EInt) -> tuple[EInt, EInt, EInt]:
     return r0, s0, t0
 
 
+def _quotient(xa: int, xb: int, da: int, db: int) -> tuple[int, int, int]:
+    """(na, nb, n) with x/d = (na + nb*omega)/n: x * conj(d) over N(d),
+    on raw integers that may leave the coordinate range."""
+    return (xa * da - xa * db + xb * db, xb * da - xa * db,
+            da * da - da * db + db * db)
+
+
 def divides(d: EInt, x: EInt) -> bool:
     """Whether d | x in E (d nonzero)."""
     if d.is_zero():
         raise ZeroDivisionError("divisibility by zero")
-    sa, sb, oa, ob = x.a, x.b, d.a, d.b
-    na = sa * oa - sa * ob + sb * ob
-    nb = sb * oa - sa * ob
-    n = oa * oa - oa * ob + ob * ob
+    na, nb, n = _quotient(x.a, x.b, d.a, d.b)
     return na % n == 0 and nb % n == 0
 
 
@@ -265,28 +267,34 @@ def exact_div(x: EInt, d: EInt) -> EInt:
     """The quotient x/d when d | x; raises ValueError otherwise."""
     if d.is_zero():
         raise ZeroDivisionError("division by zero")
-    sa, sb, oa, ob = x.a, x.b, d.a, d.b
-    na = sa * oa - sa * ob + sb * ob
-    nb = sb * oa - sa * ob
-    n = oa * oa - oa * ob + ob * ob
-    qa, ra = divmod(na, n)
-    qb, rb = divmod(nb, n)
-    if ra or rb:
+    na, nb, n = _quotient(x.a, x.b, d.a, d.b)
+    if na % n or nb % n:
         raise ValueError(f"{d} does not divide {x}")
-    return EInt(qa, qb)
+    return EInt(na // n, nb // n)
+
+
+def _strip(pi: EInt, x: EInt) -> tuple[int, EInt]:
+    """(v, x / pi^v) for the largest v with pi^v | x, for nonzero x and
+    non-unit nonzero pi.  pi | x forces N(pi) | N(x), so a norm test opens
+    each step.  No quotient has a coordinate larger than x's largest, so
+    only the last is built as an EInt."""
+    a, b, pa, pb, v = x.a, x.b, pi.a, pi.b, 0
+    m, npi = a * a - a * b + b * b, pa * pa - pa * pb + pb * pb
+    if not m:
+        raise ValueError("valuation of zero is undefined")
+    if npi <= 1:
+        raise ValueError("valuation needs a non-unit modulus")
+    while m % npi == 0:
+        na, nb, n = _quotient(a, b, pa, pb)
+        if na % n or nb % n:
+            break
+        a, b, m, v = na // n, nb // n, m // npi, v + 1
+    return v, (EInt(a, b) if v else x)
 
 
 def valuation(pi: EInt, x: EInt) -> int:
     """Largest v with pi^v | x, for nonzero x and non-unit nonzero pi."""
-    if x.is_zero():
-        raise ValueError("valuation of zero is undefined")
-    if pi.norm() <= 1:
-        raise ValueError("valuation needs a non-unit modulus")
-    v = 0
-    while divides(pi, x):
-        x = exact_div(x, pi)
-        v += 1
-    return v
+    return _strip(pi, x)[0]
 
 
 class ResidueRing:

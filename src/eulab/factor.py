@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
-from eulab.core import COORD_BOUND, EInt, _ekey, divides, exact_div
+from eulab.core import COORD_BOUND, EInt, _ekey, _strip
 
 INT64_MAX = 2**63 - 1
 
@@ -77,14 +77,6 @@ def _roots_x2_x_1(p: int) -> tuple[int, ...]:
             return (r, r * r % p)
 
 
-def _canonical(a: int, b: int) -> EInt:
-    """The canonical associate of a + b*omega != 0: (a, b) -> (a - b, a)
-    is multiplication by the unit 1 + omega, a turn of 60 degrees."""
-    while b < 0 or a <= b:
-        a, b = a - b, a
-    return EInt(a, b)
-
-
 @lru_cache(maxsize=4096)
 def _primes_above(p: int) -> tuple[tuple[EInt, int], ...]:
     """The canonical primes above the prime p = 3 or p = 1 (mod 3) as
@@ -95,7 +87,7 @@ def _primes_above(p: int) -> tuple[tuple[EInt, int], ...]:
     Gauss-Lagrange reduction of the basis (p, 0), (-w, 1) under the norm
     x^2 - xy + y^2.  For p = 1 mod 3 the second root w^2 = -1 - w has
     w^2 - omega = -conj(w - omega) mod p, so its prime is the conjugate
-    of the first."""
+    of the first.  EInt.canonical_associate names both."""
     roots = _roots_x2_x_1(p)
     # u = (a, b) is kept no longer than v = (c, d); m is the norm of u
     a, b, c, d = -roots[0], 1, p, 0
@@ -112,7 +104,8 @@ def _primes_above(p: int) -> tuple[tuple[EInt, int], ...]:
     if m != p:
         raise AssertionError(f"shortest vector {a},{b} above {p} has "
                              f"norm {m}")
-    return tuple(zip((_canonical(a, b), _canonical(a - b, -b)), roots))
+    pi = EInt(a, b).canonical_associate()[0]
+    return tuple(zip((pi, pi.conj().canonical_associate()[0]), roots))
 
 
 def prime_pi(x: float) -> int:
@@ -490,8 +483,8 @@ def factor_e(x: EInt) -> EFactorization:
 
     Route through the rational factorization of the norm: each rational
     prime p is divided out as its canonical primes above it, p itself when
-    p = 2 mod 3, each as often as it divides, and whatever is left over
-    must be a unit.
+    p = 2 mod 3, each as often as it divides (core's _strip), and whatever
+    is left over must be a unit.
     """
     if x.is_zero():
         raise ValueError("cannot factor zero")
@@ -504,10 +497,7 @@ def factor_e(x: EInt) -> EFactorization:
         above = ([EInt(p, 0)] if p % 3 == 2
                  else [pi for pi, _ in _primes_above(p)])
         for pi in above:
-            k = 0
-            while divides(pi, rem):
-                rem = exact_div(rem, pi)
-                k += 1
+            k, rem = _strip(pi, rem)
             if k:
                 out.append((pi, k))
     if not rem.is_unit():

@@ -11,7 +11,34 @@ import functools
 import math
 from itertools import combinations, permutations
 
-from eulab.core import EInt, ResidueRing, divides, gcd, valuation
+from eulab.core import UNITS, EInt, ResidueRing, divides, exact_div, gcd
+
+
+def canonical_by_scan(x: EInt) -> tuple[EInt, EInt]:
+    """(y, u) with y = u * x canonical, by scanning the six unit multiples
+    of x in rotation order for the one with b >= 0 and a > b."""
+    if x.is_zero():
+        raise ValueError("zero has no canonical associate")
+    for u in UNITS:
+        y = x * u
+        if y.is_canonical():
+            return y, u
+    raise AssertionError("unreachable: some associate is canonical")
+
+
+def strip_by_division(pi: EInt, x: EInt) -> tuple[int, EInt]:
+    """(v, x / pi^v) for the largest v with pi^v | x, by dividing x by pi
+    while divides(pi, x) holds, with no norm test; nonzero x and non-unit
+    nonzero pi, rejected with valuation's messages."""
+    if x.is_zero():
+        raise ValueError("valuation of zero is undefined")
+    if pi.norm() <= 1:
+        raise ValueError("valuation needs a non-unit modulus")
+    v = 0
+    while divides(pi, x):
+        x = exact_div(x, pi)
+        v += 1
+    return v, x
 
 
 def enumerate_divisors(x: EInt) -> list[EInt]:
@@ -58,7 +85,7 @@ def three_coloring_greedy(pi: EInt, rho0: EInt):
     representative in enumeration order takes the least group not used by
     -rho0*r or -rho0^(-1)*r.  The inverse is found by scanning the ring."""
     one = EInt(1, 0)
-    delta = valuation(pi, one + rho0)
+    delta = strip_by_division(pi, one + rho0)[0]
     ring = ResidueRing(pi ** (delta + 1))
     reduce = ring.reduce
     units = reduced_representatives(ring)
@@ -80,9 +107,9 @@ def control_exponent(pi: EInt, rho: EInt) -> int:
     """c(pi, rho) = gamma + v(1 + rho0) for nonzero rho = pi^gamma * rho0,
     from valuations alone: pi^gamma * (1 + rho0) = pi^gamma + rho, so c is
     v(pi^gamma + rho), or gamma when that sum is zero (rho0 = -1)."""
-    gamma = valuation(pi, rho)
+    gamma = strip_by_division(pi, rho)[0]
     shifted = pi ** gamma + rho
-    return gamma if shifted.is_zero() else valuation(pi, shifted)
+    return gamma if shifted.is_zero() else strip_by_division(pi, shifted)[0]
 
 
 def gcd_by_factoring(x: EInt, y: EInt):

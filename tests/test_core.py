@@ -5,6 +5,7 @@ enumeration oracle (see _canonical_by_enumeration below)."""
 import copy
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,11 @@ from eulab.core import (
     COORD_BOUND, EInt, LAMBDA, OMEGA, ONE, UNITS, ZERO, ResidueRing,
     divides, exact_div, gcd, valuation,
 )
-from eulab.core import _xgcd
-from oracles import reduced_representatives, representatives
+from eulab.core import _strip, _xgcd
+from oracles import (
+    canonical_by_scan, reduced_representatives, representatives,
+    strip_by_division,
+)
 
 coords = st.integers(min_value=-200, max_value=200)
 eints = st.builds(EInt, coords, coords)
@@ -114,6 +118,56 @@ def test_canonical_associate_matches_angle_oracle(x):
 def test_exactly_one_canonical_associate(x):
     flags = [(x * u).is_canonical() for u in UNITS]
     assert sum(flags) == 1
+
+
+def _outcome(call):
+    """call()'s value, or the type and message of its OverflowError."""
+    try:
+        return call()
+    except OverflowError as exc:
+        return type(exc), str(exc)
+
+
+def _scan_sector(x: EInt) -> int:
+    return -UNITS.index(canonical_by_scan(x)[1]) % 6
+
+
+def test_canonical_associate_and_sector_match_scan_on_box():
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            if a or b:
+                x = EInt(a, b)
+                assert x.canonical_associate() == canonical_by_scan(x)
+                assert x.sector_index() == _scan_sector(x)
+
+
+def test_canonical_associate_matches_scan_at_the_64_bit_edge():
+    """Near the coordinate bound a turn may leave the range; the turn and
+    the scan then raise the same OverflowError."""
+    rng = random.Random(2026)
+    edge = [COORD_BOUND - k for k in range(4)]
+    pool = edge + [-c for c in edge] + [0, 1, -1, 2, -2]
+    raised = 0
+    for _ in range(4000):
+        a, b = (rng.choice(pool) if rng.random() < 0.5
+                else rng.randint(-COORD_BOUND, COORD_BOUND) for _ in "ab")
+        if a == b == 0:
+            continue
+        x = EInt(a, b)
+        got = _outcome(x.canonical_associate)
+        assert got == _outcome(lambda: canonical_by_scan(x))
+        assert _outcome(x.sector_index) == _outcome(lambda: _scan_sector(x))
+        raised += got[0] is OverflowError
+    assert raised > 100
+    # the first turn leaves the range: at once for (M, -M), four turns
+    # before the canonical sector for (-M, M), where the scan raised too
+    for x, turned in ((EInt(COORD_BOUND, -COORD_BOUND),
+                       (2 * COORD_BOUND, COORD_BOUND)),
+                      (EInt(-COORD_BOUND, COORD_BOUND),
+                       (-2 * COORD_BOUND, -COORD_BOUND))):
+        assert _outcome(x.canonical_associate) == (
+            OverflowError, "coordinate out of 64-bit range: "
+            f"({turned[0]},{turned[1]})")
 
 
 def test_canonical_associate_of_zero_raises():
@@ -227,6 +281,14 @@ def test_gcd_absorbs_common_factor(x, y, z):
     assert divides(z, g) or divides(z.canonical_associate()[0], g)
 
 
+def test_hypothesis_runs_are_derandomized():
+    """conftest's profile fixes every test's seed, and a test's own
+    @settings keeps its example count."""
+    assert settings.default.derandomize
+    own = test_gcd_absorbs_common_factor._hypothesis_internal_use_settings
+    assert own.derandomize and own.max_examples == 50
+
+
 # ------------------------------------------------------- exact divisibility
 
 @given(eints, nonzero_eints)
@@ -246,6 +308,68 @@ def test_valuation():
     assert valuation(EInt(2, 1), x) == 3
     assert valuation(EInt(3, 1), x) == 1
     assert valuation(EInt(2, 0), x) == 0
+
+
+def _small_primes() -> list[EInt]:
+    """The canonical primes of norm at most 50: norm a rational prime, or
+    an inert rational prime q = 2 mod 3 itself."""
+    out = [EInt(2, 0), EInt(5, 0)]
+    for a in range(1, 9):
+        for b in range(0, a):
+            n = EInt(a, b).norm()
+            if 1 < n <= 50 and all(n % d for d in range(2, math.isqrt(n) + 1)):
+                out.append(EInt(a, b))
+    return out
+
+
+def test_small_primes_cover_norms_up_to_50():
+    norms = sorted(pi.norm() for pi in _small_primes())
+    assert norms == [3, 4, 7, 7, 13, 13, 19, 19, 25, 31, 31, 37, 37, 43, 43]
+
+
+STRIP_MODULI = _small_primes() + [LAMBDA ** 2, EInt(3, 1) ** 2,
+                                   EInt(2, 0) ** 2]
+
+
+@pytest.mark.parametrize("pi", STRIP_MODULI, ids=str)
+def test_strip_matches_division_loop(pi):
+    """Every x in a box, and pi^k times a smaller box, against the loop of
+    divides and exact_div without a norm test."""
+    xs = [EInt(a, b) for a in range(-15, 16) for b in range(-15, 16)]
+    xs += [pi ** k * EInt(a, b) for k in range(1, 5)
+           for a in range(-3, 4) for b in range(-3, 4)]
+    for x in xs:
+        if not x.is_zero():
+            want = strip_by_division(pi, x)
+            assert _strip(pi, x) == want
+            assert valuation(pi, x) == want[0]
+
+
+@pytest.mark.parametrize("pi", [p for p in _small_primes()
+                                if p.conj().canonical_associate()[0] != p],
+                         ids=str)
+def test_strip_norm_test_passes_but_prime_does_not_divide(pi):
+    """x = conj(pi) * k: N(pi) | N(x) but pi does not divide x, so the norm
+    test alone would count a step."""
+    for k in (ONE, OMEGA, EInt(-2, 0), EInt(1, -1), pi ** 2):
+        x = pi.conj() * k
+        v = 2 if k == pi ** 2 else 0
+        assert x.norm() % pi.norm() == 0
+        assert _strip(pi, x) == (v, pi.conj() * k // pi ** v)
+        assert valuation(pi, x) == v
+
+
+@pytest.mark.parametrize("pi,x,message", [
+    (EInt(2, 1), ZERO, "valuation of zero is undefined"),
+    (ZERO, ZERO, "valuation of zero is undefined"),
+    (ZERO, EInt(3, 1), "valuation needs a non-unit modulus"),
+] + [(u, EInt(3, 1), "valuation needs a non-unit modulus") for u in UNITS],
+    ids=str)
+def test_strip_and_valuation_errors(pi, x, message):
+    for call in (_strip, valuation, strip_by_division):
+        with pytest.raises(ValueError) as exc:
+            call(pi, x)
+        assert str(exc.value) == message
 
 
 # ------------------------------------------------------------ residue ring
