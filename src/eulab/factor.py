@@ -20,10 +20,14 @@ along the roots of x^2 + x + 1, and "sum", a + b, along a = -b.  The
 Eisenstein pair products a + rho*b are sieved the same way in E: each
 prime above a sieve prime maps E onto its residue field.  In both sieves
 a prime divides a pair's value exactly when a residue of a equals a
-residue of b, so one join (_joined) lists the pairs it divides.  One
-loop, _sieve_pairs, runs both sieves with one stop rule; each sieve
-supplies only its residues per prime and hands the cofactors the sieve
-cannot settle to _factor_hard.
+residue of b, so one join (_joined) lists the pairs it divides.  The
+join buckets only the residues of a that some b shares: past the set
+size few residue classes meet.  The quadratic
+forms read each join in both directions (a = t*b or b = t*a), and for
+rho = -1 one residue list serves both sides.  One loop, _sieve_pairs,
+runs both sieves with one stop rule; each sieve supplies only its
+residues per prime and hands the cofactors the sieve cannot settle to
+_factor_hard.
 """
 
 from __future__ import annotations
@@ -270,30 +274,41 @@ def _factor_hard(m: int, counts: dict[int, int], bound: int) -> None:
 
 
 def _joined(akeys: Sequence[int], bkeys: Sequence[int], base: Sequence[int],
-            ordered: bool) -> list[int]:
-    """The indices base[i] + j (plus 1 when j < i) of the pairs (i, j)
-    with akeys[i] == bkeys[j]: pairs i < j, or every i != j when ordered.
-    The a side is bucketed by key once; each b key then reads its
-    bucket."""
+            ordered: bool, either: bool) -> list[int]:
+    """The indices of the pairs (i, j), i != j, with akeys[i] == bkeys[j]:
+    base[i] + j + (j < i) for each such pair when ordered; otherwise
+    base[i] + j for i < j, and with either also base[j] + i for i > j.
+    Only the keys met on both sides can match: the a elements are
+    bucketed by the keys the b side holds, and each b element whose key
+    has a bucket reads it."""
+    targets = set(bkeys)
     classes: dict[int, list[int]] = {}
     for i, c in enumerate(akeys):
-        classes.setdefault(c, []).append(i)
+        if c in targets:
+            classes.setdefault(c, []).append(i)
+    if not classes:
+        return []
     if ordered:
         return [base[i] + j + (j < i) for j, c in enumerate(bkeys)
-                for i in classes.get(c, ()) if i != j]
-    return [base[i] + j for j, c in enumerate(bkeys)
-            for i in classes.get(c, ()) if i < j]
+                if c in classes for i in classes[c] if i != j]
+    if either:
+        return [base[i] + j if i < j else base[j] + i
+                for j, c in enumerate(bkeys) if c in classes
+                for i in classes[c] if i != j]
+    return [base[i] + j for j, c in enumerate(bkeys) if c in classes
+            for i in classes[c] if i < j]
 
 
 def _sieve_pairs(vals: list[int], n: int, ordered: bool,
                  residues: Callable[[int], Iterable[tuple]],
-                 ) -> tuple[list, int]:
+                 either: bool = False) -> tuple[list, int]:
     """Sieve in place the values vals of the pairs of n elements, in the
     pair order of itertools.combinations, or permutations when ordered.
     For each sieve prime p, residues(p) yields (label, keys, targets): the
     label, p or a prime of E above it, divides the value of the pair
-    (i, j) exactly when keys[i] == targets[j].  Each label that hits is
-    recorded once, and p is divided out completely of each value hit.
+    (i, j) exactly when keys[i] == targets[j], or, with either (pairs
+    i < j only), when keys[j] == targets[i] too.  Each label that hits
+    is recorded once, and p is divided out completely of each value hit.
     Returns the labels in sieve order and a bound below which no value
     left has a prime factor."""
     # vals[k] belongs to the pair (i, j) with k = base[i] + j for j > i,
@@ -315,7 +330,7 @@ def _sieve_pairs(vals: list[int], n: int, ordered: bool,
     for p in primes[:bisect_right(primes, settled)]:
         hits: set[int] = set()
         for label, keys, targets in residues(p):
-            ks = _joined(keys, targets, base, ordered)
+            ks = _joined(keys, targets, base, ordered, either)
             if ks:
                 labels[label] = None
                 hits.update(ks)
@@ -338,10 +353,11 @@ def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
     p).  For the quadratic forms a^2 + s*a*b + b^2, s = 1 or -1, and p not
     dividing b, p divides the value exactly when a = s*r*b (mod p) for a
     root r of x^2 + x + 1 mod p; for p | b, exactly when p | a.  The roots
-    are r and 1/r, so with t = s*r that is a = t*b or b = t*a.  A p
-    without roots divides only pairs of multiples of p.  Every cofactor
-    left over goes to _factor_hard, which records it as prime when every
-    prime up to its square root was sieved.
+    are r and 1/r, so with t = s*r that is a = t*b or b = t*a, one join
+    read in either direction.  A p without roots divides only pairs of
+    multiples of p.  Each distinct cofactor left over goes to
+    _factor_hard, which records it as prime when every prime up to its
+    square root was sieved.
 
     A pair value above INT64_MAX raises the ValueError factor_rational
     would raise, naming the first such value in pair order (i < j).
@@ -367,20 +383,37 @@ def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
             return ((p, keys, [-c % p for c in keys]),)
         if roots := _roots_x2_x_1(p):
             # a = t*b with t = s*r for the first root r; the other root is
-            # 1/r, and a = s*b/r is b = t*a, the same join with its sides
-            # swapped (for p = 3, r = 1/r = 1 and the two joins agree)
+            # 1/r, and a = s*b/r is b = t*a: one join read either way
+            # (for p = 3, r = 1/r = 1 and both ways meet the same pairs)
             scaled = [s * roots[0] * c % p for c in keys]
-            return (p, keys, scaled), (p, scaled, keys)
+            return ((p, keys, scaled),)
         if keys.count(0) > 1:
             # a class -1 matches nothing: class 0 joins class 0 alone
             return ((p, keys, [-1 if c else 0 for c in keys]),)
         return ()
 
-    found, bound = _sieve_pairs(vals, len(elements), False, residues)
+    found, bound = _sieve_pairs(vals, len(elements), False, residues,
+                                either=form != "sum")
     large: dict[int, int] = {}
-    for v in vals:
+    for v in set(vals):
         _factor_hard(v, large, bound)
     return tuple(found) + tuple(sorted(large))
+
+
+def _pair_norms(coords: Sequence[tuple[int, int]],
+                twisted: Sequence[tuple[int, int]], ordered: bool,
+                ) -> list[int]:
+    """The norms of the pair values (x, y) + (u, v), (x, y) in coords and
+    (u, v) in twisted, in the pair order of pair_e_primes."""
+    # N((x, y) + (u, v)) = N(x, y) + N(u, v) + x*(2u - v) + y*(2v - u)
+    terms = [(u * u - u * v + v * v, 2 * u - v, 2 * v - u)
+             for u, v in twisted]
+    norms: list[int] = []
+    for i, (x, y) in enumerate(coords):
+        na = x * x - x * y + y * y
+        right = terms[:i] + terms[i + 1:] if ordered else terms[i + 1:]
+        norms.extend([na + nb + x * gx + y * gy for nb, gx, gy in right])
+    return norms
 
 
 def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
@@ -393,7 +426,12 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     order whose value is zero.  When a value with a coordinate beyond 64
     bits (in rho*b or in the sum) or a norm above INT64_MAX comes first,
     evaluating that pair as a + rho*b, or factoring it, raises the
-    OverflowError or ValueError of EInt and factor_e.
+    OverflowError or ValueError of EInt and factor_e.  When a value may
+    leave that range (3 * widest^2 > INT64_MAX, widest bounding the
+    coordinates of a plus those of rho*b), the norms are built first, and
+    the pairs are replayed in pair order if one does.  Otherwise the zero
+    pairs are looked up by the coordinates of -rho*b before any norm is
+    built.
 
     The pair norms are sieved by _sieve_pairs.  Each prime pi above a
     sieve prime p gives a ring map h onto E/(pi): for p = 3 or p = 1 mod
@@ -407,8 +445,9 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     that divides the value.  Any other cofactor is split by _factor_hard;
     of each prime q it yields, q itself divides the value when q = 2 mod
     3, and otherwise each prime above q whose root passes the residue
-    test does.  Each prime so picked is named once, after the pairs.  No
-    EInt is built per pair.
+    test does.  A prime cofactor q is skipped once both primes above it
+    are picked.  Each prime so picked is named once, after the pairs.
+    No EInt is built per pair.
     """
     n = len(elements)
     if n < 2:
@@ -416,54 +455,68 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     coords = [(x.a, x.b) for x in elements]
     r1, r2 = rho.a, rho.b
     twisted = [(r1 * x - r2 * y, r1 * y + r2 * x - r2 * y) for x, y in coords]
-    # N((x, y) + (u, v)) = N(x, y) + N(u, v) + x*(2u - v) + y*(2v - u)
-    terms = [(u * u - u * v + v * v, 2 * u - v, 2 * v - u)
-             for u, v in twisted]
-    norms: list[int] = []
-    for i, (x, y) in enumerate(coords):
-        na = x * x - x * y + y * y
-        right = terms[:i] + terms[i + 1:] if ordered else terms[i + 1:]
-        norms.extend([na + nb + x * gx + y * gy for nb, gx, gy in right])
-
     pairs = itertools.permutations if ordered else itertools.combinations
+    # every pair value has coordinates within widest, so a norm of at most
+    # 3 * widest^2
     widest = (max(max(abs(x), abs(y)) for x, y in coords)
               + max(max(abs(u), abs(v)) for u, v in twisted))
-    if widest > COORD_BOUND or max(norms) > INT64_MAX:
-        # Replay the pairs exactly: the first zero, overflowing or
-        # oversized value in pair order decides; if none, fall through.
-        for i, j in pairs(range(n), 2):
-            value = elements[i] + rho * elements[j]
-            if value.is_zero():
-                return (), (elements[i], elements[j])
-            if value.norm() > INT64_MAX:
-                factor_e(value)
-    elif min(norms) == 0:
-        i, j = next(itertools.islice(pairs(range(n), 2), norms.index(0),
-                                     None))
+    norms: list[int] | None = None
+    if 3 * widest * widest > INT64_MAX:
+        # a value may leave the range: only the exact norms tell
+        norms = _pair_norms(coords, twisted, ordered)
+        if widest > COORD_BOUND or max(norms) > INT64_MAX:
+            # Replay the pairs exactly: the first zero, overflowing or
+            # oversized value in pair order decides; if none, fall through.
+            for i, j in pairs(range(n), 2):
+                value = elements[i] + rho * elements[j]
+                if value.is_zero():
+                    return (), (elements[i], elements[j])
+                if value.norm() > INT64_MAX:
+                    factor_e(value)
+    # a + rho*b = 0 exactly when a has the coordinates of -rho*b; the
+    # elements are distinct, so each rho*b meets at most one a
+    index = {c: i for i, c in enumerate(coords)}
+    zeros = [(i, j) for j, (u, v) in enumerate(twisted)
+             if (i := index.get((-u, -v))) is not None
+             and (i < j or ordered and i != j)]
+    if zeros:
+        i, j = min(zeros)
         return (), (elements[i], elements[j])
+    if norms is None:
+        norms = _pair_norms(coords, twisted, ordered)
+
+    # for rho = -1, -rho*b is b: a join inside each residue class
+    same = (r1, r2) == (-1, 0)
 
     def residues(p: int) -> Iterable[tuple[EInt, list[int], list[int]]]:
         if p % 3 == 2:
             # E/(p) = F_p[omega]; the residue (c0, c1) is coded c0 + p*c1
-            return ((EInt(p, 0), [x % p + p * (y % p) for x, y in coords],
+            keys = [x % p + p * (y % p) for x, y in coords]
+            return ((EInt(p, 0), keys, keys if same else
                      [-u % p + p * (-v % p) for u, v in twisted]),)
-        return [(pi, [(x + y * w) % p for x, y in coords],
-                 [-(u + v * w) % p for u, v in twisted])
-                for pi, w in _primes_above(p)]
+        out = []
+        for pi, w in _primes_above(p):
+            keys = [(x + y * w) % p for x, y in coords]
+            out.append((pi, keys, keys if same else
+                        [-(u + v * w) % p for u, v in twisted]))
+        return out
 
     found, bound = _sieve_pairs(norms, n, ordered, residues)
-    # (q, k) for the k-th prime of _primes_above(q), whose root w has
-    # x + y*w = 0 mod q; exactly one prime above a prime cofactor q
-    # divides the value, so the first root's test settles k
-    named: set[tuple[int, int]] = set()
+    # named[q] has bit k set for the k-th prime of _primes_above(q), whose
+    # root w has x + y*w = 0 mod q; exactly one prime above a prime
+    # cofactor q divides the value, so the first root's test settles k,
+    # and once both are named (3) the pairs left with cofactor q add none
+    named: dict[int, int] = {}
     bound2 = bound * bound
     for (i, j), m in itertools.compress(zip(pairs(range(n), 2), norms),
                                         [m > 1 for m in norms]):
+        if named.get(m) == 3:
+            continue
         x = coords[i][0] + twisted[j][0]
         y = coords[i][1] + twisted[j][1]
         if m < bound2:
             w = _primes_above(m)[0][1]
-            named.add((m, (x + y * w) % m != 0))
+            named[m] = named.get(m, 0) | 1 << ((x + y * w) % m != 0)
             continue
         qs: dict[int, int] = {}
         _factor_hard(m, qs, bound)
@@ -471,9 +524,14 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
             if q % 3 == 2:
                 found.append(EInt(q, 0))
             else:
-                named.update((q, k) for k, (_, w) in enumerate(
-                    _primes_above(q)) if (x + y * w) % q == 0)
-    found.extend(_primes_above(q)[k][0] for q, k in named)
+                for k, (_, w) in enumerate(_primes_above(q)):
+                    if (x + y * w) % q == 0:
+                        named[q] = named.get(q, 0) | 1 << k
+    # newest first: a call can meet more primes than the cache of
+    # _primes_above holds, and the least recently used leave it first
+    found.extend(pi for q, bits in reversed(named.items())
+                 for k, (pi, _) in enumerate(_primes_above(q))
+                 if bits >> k & 1)
     return tuple(sorted(set(found), key=_ekey)), None
 
 

@@ -408,6 +408,10 @@ class TestPairFormPrimes:
         (1, 4, 7, 10, 13, 1999),            # one class mod 3: 3 | a^2+ab+b^2
         (1, 2, 4, 5, 7, 8, 2000),           # b = -a mod 3: 3 | a^2-ab+b^2
         (1, 2), (1, 3), (2, 3),             # values 3, 7, 13 (and 3, 7, 7)
+        (1, 2, 5, 10),                      # two multiples of the inert 5
+        (1, 2, 3, 4, 6, 121),               # 11^2 divides 121 alone
+        (*range(1, 48), 1010, 2019),        # 1, 1010, 2019: one class mod
+                                            # 1009, above the set size
     ])
     def test_edge_sets(self, elements, form):
         elements = tuple(sorted(elements))
@@ -664,6 +668,39 @@ class TestPairEPrimes:
             pair_e_primes(elements, EInt(2, 0), False)
         assert str(info.value) == \
             "coordinate out of 64-bit range: (9223372036854775808,0)"
+
+    # (M, 0) puts widest = 2M on either side of 3 * widest^2 <= 2^63 - 1:
+    # below it the zero pairs are looked up by coordinates at once; above
+    # it the norms come first, and the pairs are replayed only when a norm
+    # is above 2^63 - 1 (M = 3.1e9).  Each way the first zero pair in pair
+    # order decides, which is not the first one met when reading by b
+    @pytest.mark.parametrize("rho,ordered", [(ONE, False), (OMEGA, True)],
+                             ids=["1", "omega"])
+    @pytest.mark.parametrize("far", [876706528, 876706529, 3_100_000_000],
+                             ids=["lookup", "norms-first", "replay"])
+    def test_first_zero_pair_on_both_sides_of_the_norm_line(
+            self, rho, ordered, far):
+        assert (3 * (2 * far) ** 2 <= INT64_MAX) == (far == 876706528)
+        elements = tuple(sorted(
+            [EInt(1, 0), EInt(-1, 0), EInt(0, 1), EInt(0, -1), EInt(2, 1),
+             EInt(-2, -1), EInt(1, 1), EInt(-1, -1), EInt(far, 0)],
+            key=ekey))
+        values = [(a, b, a + rho * b) for i, a in enumerate(elements)
+                  for j, b in enumerate(elements)
+                  if j > i or (ordered and j != i)]
+        assert (max(v.norm() for _, _, v in values) > INT64_MAX) == \
+            (far == 3_100_000_000)
+        zeros = [(a, b) for a, b, v in values if v.is_zero()]
+        assert len(zeros) > 1
+        assert pair_e_primes(elements, rho, ordered) == ((), zeros[0])
+
+    def test_unordered_zero_pair_needs_a_before_b(self):
+        # (0,-1) + omega*(1,0) = 0 is the pair (1, 0), not an unordered
+        # pair; the one unordered pair is (1,0) + omega*(0,-1) = (2,1)
+        elements = (EInt(1, 0), EInt(0, -1))
+        assert pair_e_primes(elements, OMEGA, False) == ((LAMBDA,), None)
+        assert pair_e_primes(elements, OMEGA, True) == \
+            ((), (EInt(0, -1), EInt(1, 0)))
 
     def test_zero_pair_before_out_of_range_pair(self):
         elements = (EInt(1, 0), EInt(1, 1), EInt(2**62, -2**62))
