@@ -40,6 +40,7 @@ import random
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from eulab.core import (
@@ -449,7 +450,7 @@ def refine_t1(elements: Iterable[EInt]) -> RefinementTrace:
     pair sum raises ZeroFactorError naming that pair.
     """
     initial = _distinct_set(elements)
-    primes, zero = pair_e_primes(initial, ONE, ordered=False)
+    primes, zero = pair_e_primes(initial, ONE)
     if zero is not None:
         raise ZeroFactorError(
             f"zero factor from pair ({zero[0]}) + ({zero[1]})")
@@ -465,12 +466,11 @@ def refine_t1(elements: Iterable[EInt]) -> RefinementTrace:
     pairs = 0
     final = snapshots[-1]
     for pi in primes:
-        for i, a in enumerate(final):
-            for b in final[i + 1:]:
-                pairs += 1
-                want = min(valuation(pi, a), valuation(pi, b))
-                if valuation(pi, a + b) != want:
-                    ok = False
+        for a, b in combinations(final, 2):
+            pairs += 1
+            want = min(valuation(pi, a), valuation(pi, b))
+            if valuation(pi, a + b) != want:
+                ok = False
     checks = {"valuation_transfer_ok": ok, "pairs_checked": pairs,
               "primes_checked": len(primes)}
     return RefinementTrace("t1", None, initial, sector, snapshots, steps,
@@ -495,7 +495,7 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
     if rho.is_zero() or rho == MINUS_ONE:
         raise ValueError("rho must avoid 0 and -1")
     initial = _distinct_set(elements)
-    primes, zero = pair_e_primes(initial, rho, ordered=True)
+    primes, zero = pair_e_primes(initial, rho)
     if zero is not None:
         raise ZeroFactorError(
             f"zero factor from pair ({zero[0]}) + rho*({zero[1]})")
@@ -512,20 +512,16 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
     final = snapshots[-1]
     transfer_ok = True
     pairs = 0
-    for a in final:
-        for b in final:
-            if a == b:
+    for a, b in permutations(final, 2):
+        pairs += 1
+        for pi, u in factor_e(a + rho * b).factors:
+            drop = u - (listed[pi].c if pi in listed else 0)
+            if drop <= 0:
                 continue
-            pairs += 1
-            f = a + rho * b
-            for pi, u in factor_e(f).factors:
-                drop = u - (listed[pi].c if pi in listed else 0)
-                if drop <= 0:
-                    continue
-                power = pi ** drop
-                if not (a.is_zero() or divides(power, a)) or \
-                        not (b.is_zero() or divides(power, b)):
-                    transfer_ok = False
+            power = pi ** drop
+            if not (a.is_zero() or divides(power, a)) or \
+                    not (b.is_zero() or divides(power, b)):
+                transfer_ok = False
     phis: set[EInt] = set()
     all_divide = True
     for a in final:
@@ -591,9 +587,9 @@ def _above_log(omega: int | None, scale: int, base: int, size: int) -> bool:
     return omega is None or scale * base ** omega > size
 
 
-def _e_pair_omega(elements: Sequence[EInt], rho: EInt, ordered: bool,
+def _e_pair_omega(elements: Sequence[EInt], rho: EInt,
                   ) -> tuple[int | None, tuple, bool]:
-    primes, zero = pair_e_primes(elements, rho, ordered)
+    primes, zero = pair_e_primes(elements, rho)
     if zero is not None:
         return None, (), True
     return len(primes), primes, False
@@ -606,7 +602,7 @@ def verify_t1(elements: Iterable[EInt], seed: object = None) -> BoundReport:
     than factored one by one; a cofactor the sieve primes cannot settle
     is split into rational primes.  A zero pair sum is flagged."""
     elements = _distinct_set(elements)
-    omega, primes, flagged = _e_pair_omega(elements, ONE, ordered=False)
+    omega, primes, flagged = _e_pair_omega(elements, ONE)
     bound = (math.log(len(elements) - 1) - math.log(18)) / math.log(2)
     return BoundReport("t1", None, seed, elements, omega, bound, ">",
                        _above_log(omega, 18, 2, len(elements) - 1),
@@ -617,8 +613,8 @@ def verify_t2(elements: Iterable[EInt], rho: EInt, seed: object = None,
               general: bool = False) -> BoundReport:
     """omega_E of the a + rho*b product against log|A|/log 3 minus the
     rho-specific constant.  rho = 1 falls back to the additive bound
-    unless general=True forces this machinery.  The ordered pair values
-    are sieved as in verify_t1."""
+    unless general=True forces this machinery.  The pair values over
+    a != b are sieved as in verify_t1."""
     if rho.is_zero():
         raise ValueError("rho = 0 is rejected")
     if rho == MINUS_ONE:
@@ -627,7 +623,7 @@ def verify_t2(elements: Iterable[EInt], rho: EInt, seed: object = None,
         return verify_t1(elements, seed=seed)
     elements = _distinct_set(elements)
     constants = c_constants(rho)
-    omega, primes, flagged = _e_pair_omega(elements, rho, ordered=True)
+    omega, primes, flagged = _e_pair_omega(elements, rho)
     bound = (math.log(len(elements)) - math.log(constants.threshold)) / math.log(3)
     return BoundReport("t2", rho, seed, elements, omega, bound, ">",
                        _above_log(omega, constants.threshold, 3,
@@ -668,8 +664,7 @@ def verify_rho_minus1(elements: Iterable[EInt], seed: object = None) -> BoundRep
     common residue class by pigeonhole.  The differences are sieved as in
     verify_t1, with rho = -1."""
     elements = _distinct_set(elements)
-    omega, primes, flagged = _e_pair_omega(elements, MINUS_ONE,
-                                           ordered=False)
+    omega, primes, flagged = _e_pair_omega(elements, MINUS_ONE)
     count = prime_pi(math.isqrt(len(elements) - 1))
     return BoundReport("rho_minus1", MINUS_ONE, seed, elements, omega,
                        float(count), ">=", omega is None or omega >= count,

@@ -17,17 +17,16 @@ sieved along residue progressions, as the quadratic sieve walks them
 (Pomerance 1982), rather than factored value by value.  pair_form_primes
 takes three forms: "plus", a^2 + a*b + b^2, and "minus", a^2 - a*b + b^2,
 along the roots of x^2 + x + 1, and "sum", a + b, along a = -b.  The
-Eisenstein pair products a + rho*b are sieved the same way in E: each
-prime above a sieve prime maps E onto its residue field.  In both sieves
-a prime divides a pair's value exactly when a residue of a equals a
-residue of b, so one join (_joined) lists the pairs it divides.  The
-join buckets only the residues of a that some b shares: past the set
-size few residue classes meet.  The quadratic
-forms read each join in both directions (a = t*b or b = t*a), and for
-rho = -1 one residue list serves both sides.  One loop, _sieve_pairs,
-runs both sieves with one stop rule; each sieve supplies only its
-residues per prime and hands the cofactors the sieve cannot settle to
-_factor_hard.
+Eisenstein pair products of a + rho*b over a != b are sieved the same
+way in E: each prime above a sieve prime maps E onto its residue field.
+In both sieves a prime divides a pair's value exactly when a residue of
+a equals a residue of b, so one join (_joined) lists the pairs it
+divides.  The join buckets only the residues of a that some b shares:
+past the set size few residue classes meet.  The quadratic forms read
+each join in both directions (a = t*b or b = t*a), and for rho = -1 one
+residue list serves both sides.  One loop, _sieve_pairs, runs both
+sieves with one stop rule; each sieve supplies only its residues per
+prime and hands the cofactors the sieve cannot settle to _factor_hard.
 """
 
 from __future__ import annotations
@@ -303,7 +302,9 @@ def _sieve_pairs(vals: list[int], n: int, ordered: bool,
                  residues: Callable[[int], Iterable[tuple]],
                  either: bool = False) -> tuple[list, int]:
     """Sieve in place the values vals of the pairs of n elements, in the
-    pair order of itertools.combinations, or permutations when ordered.
+    pair order of itertools.combinations (i < j), or permutations (every
+    i != j) when ordered.  pair_e_primes sieves its product over a != b
+    as i < j only for rho = 1 or -1, where mirrored pairs are associates.
     For each sieve prime p, residues(p) yields (label, keys, targets): the
     label, p or a prime of E above it, divides the value of the pair
     (i, j) exactly when keys[i] == targets[j], or, with either (pairs
@@ -416,11 +417,12 @@ def _pair_norms(coords: Sequence[tuple[int, int]],
     return norms
 
 
-def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
+def pair_e_primes(elements: Sequence[EInt], rho: EInt,
                   ) -> tuple[tuple[EInt, ...], tuple[EInt, EInt] | None]:
-    """The distinct canonical primes of the product of a + rho*b over the
-    pairs of the distinct elements, sorted by (norm, a, b): pairs i < j
-    (a = elements[i], b = elements[j]), or every i != j when ordered.
+    """The distinct canonical primes of the product of a + rho*b over
+    a = elements[i], b = elements[j], i != j, sorted by (norm, a, b).
+    Pair order is lexicographic in (i, j); for rho = 1 or -1, where (j, i)
+    has a value associate to that of (i, j), only i < j is sieved.
 
     Returns (primes, None), or ((), (a, b)) for the first pair in pair
     order whose value is zero.  When a value with a coordinate beyond 64
@@ -455,6 +457,7 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt, ordered: bool,
     coords = [(x.a, x.b) for x in elements]
     r1, r2 = rho.a, rho.b
     twisted = [(r1 * x - r2 * y, r1 * y + r2 * x - r2 * y) for x, y in coords]
+    ordered = (r1, r2) not in ((1, 0), (-1, 0))
     pairs = itertools.permutations if ordered else itertools.combinations
     # every pair value has coordinates within widest, so a norm of at most
     # 3 * widest^2

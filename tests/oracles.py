@@ -265,8 +265,10 @@ def _e_value_primes(x: EInt) -> frozenset:
 
 def e_pair_primes_naive(elements, rho: EInt, ordered: bool) -> tuple:
     """The distinct canonical primes of the product of a + rho*b over the
-    pairs i < j of elements (every i != j when ordered), sorted by
-    (norm, a, b); shares no code with factor_e.  Values must be nonzero."""
+    pairs i != j of elements when ordered, which is the E pair product,
+    and over i < j otherwise, which gives the same primes only when
+    rho = 1 or -1 (mirrored pairs have associate values); sorted by
+    (norm, a, b).  Shares no code with factor_e.  Values must be nonzero."""
     out = set()
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):

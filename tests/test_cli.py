@@ -8,15 +8,17 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulab import bounds, cli
+from eulab import bounds, cli, polyprod
 from eulab.bounds import verify_t1
 from eulab.core import OMEGA, ONE, EInt
 from eulab.factor import factor_rational
@@ -315,6 +317,29 @@ class TestVerify:
         assert report["omega"] == "infinite"
         assert report["witness_primes"] == []
         assert last_manifest(err)["output_digest"] == digest
+
+    # t2 at rho = 1 through --general takes the product of a + b over
+    # a != b, whose primes the pairs i < j of t1 carry; a set holding x
+    # and -x has the zero pair sum x + (-x) in both
+    @pytest.mark.parametrize("extra,zero", [([], False),
+                                            (["-7,3", "7,-3"], True)],
+                             ids=["zero-free", "x-and-minus-x"])
+    def test_t2_general_at_rho_1_matches_t1(self, tmp_path, capsys, extra,
+                                            zero):
+        lines = [line for line in seeded_eint_lines(31, size=60, coord=50)
+                 if int(line.split(",")[0]) > 0] + extra
+        path = write_set(tmp_path, "s.txt", lines)
+        reports = []
+        for argv in (["t1"], ["t2", "--rho", "1,0", "--general"]):
+            code, out, _ = run_cli(["verify", *argv, "--set", path], capsys)
+            assert code in (0, 1)
+            reports.append(json.loads(out)["reports"][0])
+        t1, t2 = reports
+        assert t2["rho"] == "1,0"
+        assert t1["flagged_zero_factor"] is t2["flagged_zero_factor"] is zero
+        assert t1["omega"] == t2["omega"]
+        assert t1["witness_primes"] == t2["witness_primes"]
+        assert (t1["omega"] == "infinite") is zero
 
     # A pair value out of range (in rho*b, in the sum, or by its norm)
     # comes before the first zero pair value; rho-minus1 has no zero pair.
@@ -615,6 +640,48 @@ class TestPolyprod:
         assert obj["independence"]["singular_subset"] is None
         assert obj["independence"]["subsets_checked"] > 0
         validate_output("polyprod", obj)
+
+    # n = 5 puts the line of 5 * 10^7 subsets times n^3 between |B| = 35,
+    # C(36, 5) = 376,992 subsets, and |B| = 36, C(37, 5) = 435,897
+    @pytest.fixture()
+    def quartic_file(self, tmp_path):
+        path = tmp_path / "quartic.json"
+        path.write_text(json.dumps({"n": 5, "r": [1] * 5, "m": [1] * 4}))
+        return str(path)
+
+    def test_independence_past_the_line_exits_2(self, tmp_path, capsys,
+                                                quartic_file, monkeypatch):
+        def determinant(rows):
+            raise AssertionError("a determinant was computed")
+
+        monkeypatch.setattr(polyprod, "integer_determinant", determinant)
+        a = write_set(tmp_path, "a.txt", [str(v) for v in range(1, 37)])
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["polyprod", "--poly", quartic_file, "--set-a", a, "--set-b", a,
+             "--check-independence"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("eulab: independence check of 435897 subsets of 5 "
+                       "rows is past the line of 50000000 subsets times "
+                       "n^3\n")
+
+    def test_independence_below_the_line_is_unchanged(
+            self, tmp_path, capsys, quartic_file, monkeypatch):
+        # the digest was taken before the line existed, with every
+        # determinant computed; distinct positive y make every subset
+        # nonsingular, so a stub answering 1 gives the same output fast
+        calls = []
+        monkeypatch.setattr(polyprod, "integer_determinant",
+                            lambda rows: calls.append(rows) or 1)
+        a = write_set(tmp_path, "a.txt", [str(v) for v in range(1, 36)])
+        code, out, err = run_cli(
+            ["polyprod", "--poly", quartic_file, "--set-a", a, "--set-b", a,
+             "--check-independence"], capsys)
+        assert code == 0
+        assert len(calls) == math.comb(36, 5) == 376992
+        assert last_manifest(err)["output_digest"] == \
+            "cd2f98530a342c0e78be419293281133e046963a5cf61ef4bc53b13227727fbb"
 
     def test_malformed_poly(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -503,11 +503,10 @@ class TestPairFormPrimes:
             pair_form_primes((1, 2), 1)
 
 
-def factor_e_union(elements, rho, ordered):
-    """The primes of a + rho*b over the pairs, from factor_e per value."""
-    primes = {pi for i, a in enumerate(elements)
-              for j, b in enumerate(elements)
-              if j > i or (ordered and j != i)
+def factor_e_union(elements, rho):
+    """The primes of a + rho*b over the pairs a != b, from factor_e per
+    value."""
+    primes = {pi for a, b in itertools.permutations(elements, 2)
               for pi, _ in factor_e(a + rho * b).factors}
     return tuple(sorted(primes, key=ekey))
 
@@ -516,51 +515,56 @@ def ekey(x):
     return x.norm(), x.a, x.b
 
 
-def has_zero_pair(elements, rho, ordered):
-    return any((a + rho * b).is_zero() for i, a in enumerate(elements)
-               for j, b in enumerate(elements)
-               if j > i or (ordered and j != i))
+def has_zero_pair(elements, rho):
+    return any((a + rho * b).is_zero()
+               for a, b in itertools.permutations(elements, 2))
 
 
 def eint_set(rng, size, coord, scale=ONE, avoid=None):
     """size distinct multiples of scale with coordinates up to coord
-    before scaling, sorted; with avoid = (rho, ordered), no pair value
-    a + rho*b is zero."""
+    before scaling, sorted; with avoid = rho, no pair value a + rho*b,
+    a != b, is zero."""
     out = []
     while len(out) < size:
         x = scale * EInt(rng.randint(-coord, coord),
                          rng.randint(-coord, coord))
         if x not in out and not (
-                avoid and has_zero_pair(sorted(out + [x], key=ekey), *avoid)):
+                avoid and has_zero_pair(out + [x], avoid)):
             out.append(x)
     return tuple(sorted(out, key=ekey))
 
 
-# (rho, ordered): the additive and difference products are taken over
-# unordered pairs, the twisted ones over ordered pairs
-E_PAIR_CASES = [
-    (ONE, False), (EInt(-1, 0), False), (OMEGA, True), (-OMEGA, True),
-    (LAMBDA, True), (-LAMBDA, True),
-]
+# every product runs over the pairs a != b; pair_e_primes sieves only
+# i < j for the additive and difference products (rho = 1, -1), whose
+# mirrored pairs have associate values, and every i != j for the others
+E_PAIR_RHOS = [ONE, EInt(-1, 0), OMEGA, -OMEGA, LAMBDA, -LAMBDA]
 E_PAIR_IDS = ["1", "-1", "omega", "-omega", "2,1", "-2,-1"]
 
 
 class TestPairEPrimes:
-    def check(self, elements, rho, ordered):
-        primes, zero = pair_e_primes(elements, rho, ordered)
+    def check(self, elements, rho):
+        primes, zero = pair_e_primes(elements, rho)
         assert zero is None
-        assert primes == e_pair_primes_naive(elements, rho, ordered)
-        assert primes == factor_e_union(elements, rho, ordered)
+        assert primes == e_pair_primes_naive(elements, rho, True)
+        assert primes == factor_e_union(elements, rho)
 
-    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
-    def test_random_sets(self, rho, ordered):
+    @pytest.mark.parametrize("rho", E_PAIR_RHOS, ids=E_PAIR_IDS)
+    def test_random_sets(self, rho):
         rng = random.Random(f"pair-e:{rho}")
         for size in (2, 3, 5, 8, 13, 21, 34):
             for coord in (4, 40, 300):
-                elements = eint_set(rng, size, coord, avoid=(rho, ordered))
-                self.check(elements, rho, ordered)
+                self.check(eint_set(rng, size, coord, avoid=rho), rho)
 
-    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
+    @pytest.mark.parametrize("rho", [EInt(2, 0), EInt(-3, 0)],
+                             ids=["2", "-3"])
+    def test_rational_rho_takes_every_pair(self, rho):
+        # a rational rho other than 1 and -1 still has a + rho*b and
+        # b + rho*a apart, so every i != j is sieved
+        rng = random.Random(f"pair-e:{rho}")
+        for size in (2, 5, 13):
+            self.check(eint_set(rng, size, 40, avoid=rho), rho)
+
+    @pytest.mark.parametrize("rho", E_PAIR_RHOS, ids=E_PAIR_IDS)
     @pytest.mark.parametrize("scale", [
         LAMBDA,            # 3 | N of every value: lambda divides each one
         EInt(2, 0),        # the inert 2 divides both coordinates
@@ -572,13 +576,12 @@ class TestPairEPrimes:
         EInt(4221, 256),   # pi^2 for pi = (65,2) above 4099
         EInt(4127, 0),     # the inert 4127 divides both coordinates
     ], ids=["lambda", "2", "5", "7", "3,1", "4099", "4221,256", "4127"])
-    def test_common_factor(self, rho, ordered, scale):
+    def test_common_factor(self, rho, scale):
         rng = random.Random(f"pair-e:{rho}:{scale}")
-        elements = eint_set(rng, 12, 6, scale, avoid=(rho, ordered))
-        self.check(elements, rho, ordered)
+        self.check(eint_set(rng, 12, 6, scale, avoid=rho), rho)
 
-    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
-    def test_norms_below_9(self, rho, ordered):
+    @pytest.mark.parametrize("rho", E_PAIR_RHOS, ids=E_PAIR_IDS)
+    def test_norms_below_9(self, rho):
         # every value has norm 1, 3, 4 or 7: the sieve holds at most the
         # prime 2, and a cofactor 3 must still give lambda
         small = (ZERO, *UNITS, LAMBDA, -LAMBDA)
@@ -586,27 +589,26 @@ class TestPairEPrimes:
         for size in (2, 3):
             for elements in itertools.combinations(small, size):
                 elements = tuple(sorted(elements, key=ekey))
-                if has_zero_pair(elements, rho, ordered):
+                if has_zero_pair(elements, rho):
                     continue
                 top = max((a + rho * b).norm() for a in elements
                           for b in elements if a != b)
                 if top < 9:
-                    self.check(elements, rho, ordered)
+                    self.check(elements, rho)
                     checked += 1
         assert checked >= 10
 
-    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
-    def test_small_sieve_limit_falls_back(self, monkeypatch, rho, ordered):
+    @pytest.mark.parametrize("rho", E_PAIR_RHOS, ids=E_PAIR_IDS)
+    def test_small_sieve_limit_falls_back(self, monkeypatch, rho):
         # With primes only up to 50 sieved, most cofactors are split by
         # _factor_hard.
         monkeypatch.setattr(factor, "_PAIR_SIEVE_BOUND", 50)
         rng = random.Random(f"pair-e-50:{rho}")
         for size in (4, 12, 25):
-            self.check(eint_set(rng, size, 1000, avoid=(rho, ordered)),
-                       rho, ordered)
+            self.check(eint_set(rng, size, 1000, avoid=rho), rho)
 
-    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
-    def test_coordinates_near_2_30(self, rho, ordered):
+    @pytest.mark.parametrize("rho", E_PAIR_RHOS, ids=E_PAIR_IDS)
+    def test_coordinates_near_2_30(self, rho):
         # cofactors far beyond the sieve bound go to _factor_hard
         rng = random.Random(f"pair-e-big:{rho}")
         top = 2**30
@@ -615,57 +617,55 @@ class TestPairEPrimes:
              for _ in range(6)}, key=ekey))
         assert all((a + rho * b).norm() < 2**63 for a in elements
                    for b in elements)
-        primes, zero = pair_e_primes(elements, rho, ordered)
+        primes, zero = pair_e_primes(elements, rho)
         assert zero is None
-        assert primes == factor_e_union(elements, rho, ordered)
+        assert primes == factor_e_union(elements, rho)
         assert primes[-1].norm() > 4096 ** 2
 
-    @pytest.mark.parametrize("rho,ordered", E_PAIR_CASES, ids=E_PAIR_IDS)
-    def test_first_zero_pair_is_returned(self, rho, ordered):
+    @pytest.mark.parametrize("rho", E_PAIR_RHOS, ids=E_PAIR_IDS)
+    def test_first_zero_pair_is_returned(self, rho):
         rng = random.Random(f"pair-e-zero:{rho}")
         found = 0
         for _ in range(300):
             elements = eint_set(rng, 12, 4)
-            zeros = [(a, b) for i, a in enumerate(elements)
-                     for j, b in enumerate(elements)
-                     if (j > i or (ordered and j != i))
-                     and (a + rho * b).is_zero()]
-            got = pair_e_primes(elements, rho, ordered)
+            # the first zero pair (a, b), a != b, in index order; for
+            # rho = 1 its mirror comes later
+            zeros = [(a, b) for a, b in itertools.permutations(elements, 2)
+                     if (a + rho * b).is_zero()]
+            got = pair_e_primes(elements, rho)
             assert got == (((), zeros[0]) if zeros else
-                           (e_pair_primes_naive(elements, rho, ordered),
-                            None))
+                           (e_pair_primes_naive(elements, rho, True), None))
             found += bool(zeros)
         # rho = -1 has no zero pair; the others meet one in most sets
         assert found >= 50 or rho == EInt(-1, 0)
 
-    @pytest.mark.parametrize("elements,rho,ordered,error", [
+    @pytest.mark.parametrize("elements,rho,error", [
         # an oversized norm before a zero pair
-        (["1,0", "-7,0", "7,0", f"{2**32},0"], "1,0", False,
+        (["1,0", "-7,0", "7,0", f"{2**32},0"], "1,0",
          "norm exceeds the 64-bit rational factorization range"),
         # a coordinate overflow in the sum before a zero pair
-        (["1,0", "-7,0", "7,0", f"{2**63 - 1},0"], "1,0", False,
+        (["1,0", "-7,0", "7,0", f"{2**63 - 1},0"], "1,0",
          "coordinate out of 64-bit range: (9223372036854775808,0)"),
         # overflow in rho*b, then in the sum, then a zero pair at (1, 0)
-        (["-1,-1", "-1,0", f"{2**62},{-2**62}"], "0,1", True,
+        (["-1,-1", "-1,0", f"{2**62},{-2**62}"], "0,1",
          "coordinate out of 64-bit range: "
          "(4611686018427387904,9223372036854775808)"),
-        (["0,1", "1,1", f"{2**63 - 1},0"], "0,1", True,
+        (["0,1", "1,1", f"{2**63 - 1},0"], "0,1",
          "coordinate out of 64-bit range: (0,9223372036854775808)"),
-        (["0,1", "1,1", f"{2**33},0"], "0,1", True,
+        (["0,1", "1,1", f"{2**33},0"], "0,1",
          "norm exceeds the 64-bit rational factorization range"),
     ])
-    def test_first_out_of_range_pair_raises(self, elements, rho, ordered,
-                                            error):
+    def test_first_out_of_range_pair_raises(self, elements, rho, error):
         elements = tuple(sorted(map(EInt.parse, elements), key=ekey))
         with pytest.raises((ValueError, OverflowError)) as info:
-            pair_e_primes(elements, EInt.parse(rho), ordered)
+            pair_e_primes(elements, EInt.parse(rho))
         assert str(info.value) == error
 
     def test_rho_b_out_of_range_with_small_sum(self):
         # rho*b = 2^63 overflows although a + rho*b = 1 fits
         elements = (EInt(-(2**63 - 1), 0), EInt(2**62, 0))
         with pytest.raises(OverflowError) as info:
-            pair_e_primes(elements, EInt(2, 0), False)
+            pair_e_primes(elements, EInt(2, 0))
         assert str(info.value) == \
             "coordinate out of 64-bit range: (9223372036854775808,0)"
 
@@ -674,39 +674,35 @@ class TestPairEPrimes:
     # it the norms come first, and the pairs are replayed only when a norm
     # is above 2^63 - 1 (M = 3.1e9).  Each way the first zero pair in pair
     # order decides, which is not the first one met when reading by b
-    @pytest.mark.parametrize("rho,ordered", [(ONE, False), (OMEGA, True)],
-                             ids=["1", "omega"])
+    @pytest.mark.parametrize("rho", [ONE, OMEGA], ids=["1", "omega"])
     @pytest.mark.parametrize("far", [876706528, 876706529, 3_100_000_000],
                              ids=["lookup", "norms-first", "replay"])
-    def test_first_zero_pair_on_both_sides_of_the_norm_line(
-            self, rho, ordered, far):
+    def test_first_zero_pair_on_both_sides_of_the_norm_line(self, rho, far):
         assert (3 * (2 * far) ** 2 <= INT64_MAX) == (far == 876706528)
         elements = tuple(sorted(
             [EInt(1, 0), EInt(-1, 0), EInt(0, 1), EInt(0, -1), EInt(2, 1),
              EInt(-2, -1), EInt(1, 1), EInt(-1, -1), EInt(far, 0)],
             key=ekey))
-        values = [(a, b, a + rho * b) for i, a in enumerate(elements)
-                  for j, b in enumerate(elements)
-                  if j > i or (ordered and j != i)]
+        values = [(a, b, a + rho * b)
+                  for a, b in itertools.permutations(elements, 2)]
         assert (max(v.norm() for _, _, v in values) > INT64_MAX) == \
             (far == 3_100_000_000)
         zeros = [(a, b) for a, b, v in values if v.is_zero()]
         assert len(zeros) > 1
-        assert pair_e_primes(elements, rho, ordered) == ((), zeros[0])
+        assert pair_e_primes(elements, rho) == ((), zeros[0])
 
     def test_unordered_zero_pair_needs_a_before_b(self):
-        # (0,-1) + omega*(1,0) = 0 is the pair (1, 0), not an unordered
-        # pair; the one unordered pair is (1,0) + omega*(0,-1) = (2,1)
+        # (0,-1) + omega*(1,0) = 0 is the pair (1, 0), whose index pair is
+        # not i < j: at rho = omega every i != j is sieved
         elements = (EInt(1, 0), EInt(0, -1))
-        assert pair_e_primes(elements, OMEGA, False) == ((LAMBDA,), None)
-        assert pair_e_primes(elements, OMEGA, True) == \
+        assert pair_e_primes(elements, OMEGA) == \
             ((), (EInt(0, -1), EInt(1, 0)))
 
     def test_zero_pair_before_out_of_range_pair(self):
         elements = (EInt(1, 0), EInt(1, 1), EInt(2**62, -2**62))
-        assert pair_e_primes(elements, OMEGA, True) == \
+        assert pair_e_primes(elements, OMEGA) == \
             ((), (EInt(1, 0), EInt(1, 1)))
 
     def test_fewer_than_two_elements(self):
-        assert pair_e_primes((), ONE, False) == ((), None)
-        assert pair_e_primes((LAMBDA,), OMEGA, True) == ((), None)
+        assert pair_e_primes((), ONE) == ((), None)
+        assert pair_e_primes((LAMBDA,), OMEGA) == ((), None)

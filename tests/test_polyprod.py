@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from eulab import polyprod
 from eulab.factor import factor_rational
 from eulab.polyprod import (
     IndependenceReport, SparsePolySpec, VectorSet, build_vectors,
@@ -140,6 +141,22 @@ class TestIndependence:
             assert report.independent
             assert report.singular_subset is None
             assert report.subsets_checked == math.comb(size + 1, spec.n)
+
+    @pytest.mark.parametrize("n,size", [(2, 3536), (3, 224), (10, 18),
+                                        (11, 20)])
+    def test_past_the_line_refused_before_any_determinant(
+            self, monkeypatch, n, size):
+        # the first |B| past 5 * 10^7 subsets times n^3 for n = 2, 3 and
+        # 10; for n = 11 the smallest |B| = 2n - 2 is already past it
+        def determinant(rows):
+            raise AssertionError("a determinant was computed")
+
+        monkeypatch.setattr(polyprod, "integer_determinant", determinant)
+        rows = tuple(tuple(y ** j for j in range(n))
+                     for y in range(1, size + 1))
+        with pytest.raises(ValueError, match=f"of {math.comb(size + 1, n)} "
+                           f"subsets of {n} rows is past the line"):
+            check_independence(VectorSet(n, rows))
 
     def test_duplicate_row_is_caught(self):
         _, b_vecs = build_vectors(QUADRATIC, range(1, 5), [1, 2, 3, 4])
