@@ -217,23 +217,24 @@ def _cmd_polyprod(args) -> tuple[dict, int]:
         raise CliError(f"{args.poly}: expected keys n, r, m ({exc})") from None
     set_a = _parse_set(args.set_a, int, "integer")
     set_b = _parse_set(args.set_b, int, "integer")
-    out = {
-        "n": spec.n,
-        "size_a": len(set(set_a)),
-        "size_b": len(set(set_b)),
-        "omega": omega_product(spec, set_a, set_b),
-        "independence": None,
-    }
+    independence = None
     if args.check_independence:
+        # the size rule and the work line refuse before any value is factored
         _, b_vecs = build_vectors(spec, set_a, set_b)
         report = check_independence(b_vecs)
-        out["independence"] = {
+        independence = {
             "independent": report.independent,
             "subsets_checked": report.subsets_checked,
             "singular_subset": None if report.singular_subset is None
             else [list(v) for v in report.singular_subset],
         }
-    return out, 0
+    return {
+        "n": spec.n,
+        "size_a": len(set(set_a)),
+        "size_b": len(set(set_b)),
+        "omega": omega_product(spec, set_a, set_b),
+        "independence": independence,
+    }, 0
 
 
 # --------------------------------------------------------------------------

@@ -14,19 +14,17 @@ x^2 + x + 1 mod p.
 
 The primes of a product of pair values over the pairs of a set are
 sieved along residue progressions, as the quadratic sieve walks them
-(Pomerance 1982), rather than factored value by value.  pair_form_primes
-takes three forms: "plus", a^2 + a*b + b^2, and "minus", a^2 - a*b + b^2,
-along the roots of x^2 + x + 1, and "sum", a + b, along a = -b.  The
-Eisenstein pair products of a + rho*b over a != b are sieved the same
-way in E: each prime above a sieve prime maps E onto its residue field.
-In both sieves a prime divides a pair's value exactly when a residue of
-a equals a residue of b, so one join (_joined) lists the pairs it
-divides.  The join buckets only the residues of a that some b shares:
-past the set size few residue classes meet.  The quadratic forms read
-each join in both directions (a = t*b or b = t*a), and for rho = -1 one
-residue list serves both sides.  One loop, _sieve_pairs, runs both
-sieves with one stop rule; each sieve supplies only its residues per
-prime and hands the cofactors the sieve cannot settle to _factor_hard.
+(Pomerance 1982), rather than factored value by value: pair_form_primes
+for "plus", a^2 + a*b + b^2, "minus", a^2 - a*b + b^2, and "sum", a + b,
+and pair_e_primes for a + rho*b over a != b in E, where each prime above
+a sieve prime maps E onto its residue field.  A prime divides a pair's
+value exactly when a residue of a equals a residue of b, so one join
+(_joined) lists the pairs it divides, bucketing only the residues of a
+that some b shares.  One loop, _sieve_pairs, runs every sieve with one
+value layout, the pairs i < j and then, for the ordered E product, their
+mirrors (j, i), and one stop rule; each sieve supplies its residues per
+prime, each saying where a match with i > j lands, and hands the
+cofactors the sieve cannot settle to _factor_hard.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from eulab.core import COORD_BOUND, EInt, _ekey, _strip
 
@@ -273,13 +271,12 @@ def _factor_hard(m: int, counts: dict[int, int], bound: int) -> None:
 
 
 def _joined(akeys: Sequence[int], bkeys: Sequence[int], base: Sequence[int],
-            ordered: bool, either: bool) -> list[int]:
+            mirror: int | None) -> list[int]:
     """The indices of the pairs (i, j), i != j, with akeys[i] == bkeys[j]:
-    base[i] + j + (j < i) for each such pair when ordered; otherwise
-    base[i] + j for i < j, and with either also base[j] + i for i > j.
-    Only the keys met on both sides can match: the a elements are
-    bucketed by the keys the b side holds, and each b element whose key
-    has a bucket reads it."""
+    base[i] + j for i < j, and mirror + base[j] + i for i > j, or no index
+    for i > j when mirror is None.  Only the keys met on both sides can
+    match: the a elements are bucketed by the keys the b side holds, and
+    each b element whose key has a bucket reads it."""
     targets = set(bkeys)
     classes: dict[int, list[int]] = {}
     for i, c in enumerate(akeys):
@@ -287,37 +284,32 @@ def _joined(akeys: Sequence[int], bkeys: Sequence[int], base: Sequence[int],
             classes.setdefault(c, []).append(i)
     if not classes:
         return []
-    if ordered:
-        return [base[i] + j + (j < i) for j, c in enumerate(bkeys)
-                if c in classes for i in classes[c] if i != j]
-    if either:
-        return [base[i] + j if i < j else base[j] + i
-                for j, c in enumerate(bkeys) if c in classes
-                for i in classes[c] if i != j]
-    return [base[i] + j for j, c in enumerate(bkeys) if c in classes
-            for i in classes[c] if i < j]
+    if mirror is None:
+        return [base[i] + j for j, c in enumerate(bkeys) if c in classes
+                for i in classes[c] if i < j]
+    return [base[i] + j if i < j else mirror + base[j] + i
+            for j, c in enumerate(bkeys) if c in classes
+            for i in classes[c] if i != j]
 
 
-def _sieve_pairs(vals: list[int], n: int, ordered: bool,
+def _sieve_pairs(vals: list[int], n: int,
                  residues: Callable[[int], Iterable[tuple]],
-                 either: bool = False) -> tuple[list, int]:
-    """Sieve in place the values vals of the pairs of n elements, in the
-    pair order of itertools.combinations (i < j), or permutations (every
-    i != j) when ordered.  pair_e_primes sieves its product over a != b
-    as i < j only for rho = 1 or -1, where mirrored pairs are associates.
-    For each sieve prime p, residues(p) yields (label, keys, targets): the
+                 ) -> tuple[list, int]:
+    """Sieve in place the values vals of the pairs of n elements: the
+    pairs i < j in the order of itertools.combinations, then, for an
+    ordered product, their mirrors (j, i) in the same order.  For each
+    sieve prime p, residues(p) yields (label, keys, targets, mirror): the
     label, p or a prime of E above it, divides the value of the pair
-    (i, j) exactly when keys[i] == targets[j], or, with either (pairs
-    i < j only), when keys[j] == targets[i] too.  Each label that hits
-    is recorded once, and p is divided out completely of each value hit.
-    Returns the labels in sieve order and a bound below which no value
-    left has a prime factor."""
-    # vals[k] belongs to the pair (i, j) with k = base[i] + j for j > i,
-    # and base[i] + j + 1 for j < i when ordered
-    if ordered:
-        base = [i * (n - 1) - 1 for i in range(n)]
-    else:
-        base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+    (i, j) exactly when keys[i] == targets[j], and mirror says where
+    _joined places a match with i > j: nowhere (None) when the relation
+    is symmetric, as the pair i < j matches too; on the value of the
+    pair (j, i) (0) when the match reads the relation reversed; on the
+    mirrored half (the number of pairs i < j) for an ordered product.
+    Each label that hits is recorded once, and p is divided out
+    completely of each value hit.  Returns the labels in sieve order and
+    a bound below which no value left has a prime factor."""
+    # vals[k] belongs to the pair (i, j), i < j, with k = base[i] + j
+    base = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
     # Every prime up to settled is sieved.  A prime p divides about 2/p of
     # the pair values, so past the number of pairs it would hit fewer than
     # two on average, and bucketing the set for it costs more than
@@ -330,8 +322,8 @@ def _sieve_pairs(vals: list[int], n: int, ordered: bool,
     labels: dict = {}
     for p in primes[:bisect_right(primes, settled)]:
         hits: set[int] = set()
-        for label, keys, targets in residues(p):
-            ks = _joined(keys, targets, base, ordered, either)
+        for label, keys, targets, mirror in residues(p):
+            ks = _joined(keys, targets, base, mirror)
             if ks:
                 labels[label] = None
                 hits.update(ks)
@@ -349,16 +341,16 @@ def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
     form is "plus" for a^2 + a*b + b^2, "minus" for a^2 - a*b + b^2 and
     "sum" for a + b.
 
-    The pair values are sieved by _sieve_pairs; only the residues of a
-    prime p depend on the form.  p divides a + b exactly when a = -b (mod
-    p).  For the quadratic forms a^2 + s*a*b + b^2, s = 1 or -1, and p not
-    dividing b, p divides the value exactly when a = s*r*b (mod p) for a
-    root r of x^2 + x + 1 mod p; for p | b, exactly when p | a.  The roots
-    are r and 1/r, so with t = s*r that is a = t*b or b = t*a, one join
-    read in either direction.  A p without roots divides only pairs of
-    multiples of p.  Each distinct cofactor left over goes to
-    _factor_hard, which records it as prime when every prime up to its
-    square root was sieved.
+    The pair values are sieved by _sieve_pairs; the form gives the rule:
+    p divides the value of (a, b) exactly when b = t*a (mod p) for a t in
+    T, or p divides both when T is empty.  For a + b, T = {-1}; for
+    a^2 + s*a*b + b^2, s = +-1, T holds s*r for each root r of
+    x^2 + x + 1 mod p.  T is closed under t -> 1/t, so one join of t*a
+    against b reads T: a reversed match lands on the same pair's value
+    when T = {t, 1/t}, and a lone t = 1/t (the sum, and p = 3) is
+    symmetric.  Each distinct cofactor left over goes to _factor_hard,
+    which records it as prime when every prime up to its square root was
+    sieved.
 
     A pair value above INT64_MAX raises the ValueError factor_rational
     would raise, naming the first such value in pair order (i < j).
@@ -378,51 +370,43 @@ def pair_form_primes(elements: Sequence[int], form: str) -> tuple[int, ...]:
         first = next(v for v in vals if v > INT64_MAX)
         raise ValueError(f"{first} is beyond the declared 64-bit input range")
 
-    def residues(p: int) -> Iterable[tuple[int, list[int], list[int]]]:
+    def residues(p: int) -> Iterable[tuple]:
         keys = [a % p for a in elements]
-        if form == "sum":
-            return ((p, keys, [-c % p for c in keys]),)
-        if roots := _roots_x2_x_1(p):
-            # a = t*b with t = s*r for the first root r; the other root is
-            # 1/r, and a = s*b/r is b = t*a: one join read either way
-            # (for p = 3, r = 1/r = 1 and both ways meet the same pairs)
-            scaled = [s * roots[0] * c % p for c in keys]
-            return ((p, keys, scaled),)
+        ts = (-1,) if form == "sum" else [s * r for r in _roots_x2_x_1(p)]
+        if ts:
+            return ((p, [ts[0] * c % p for c in keys], keys,
+                     0 if len(ts) == 2 else None),)
         if keys.count(0) > 1:
             # a class -1 matches nothing: class 0 joins class 0 alone
-            return ((p, keys, [-1 if c else 0 for c in keys]),)
+            return ((p, keys, [-1 if c else 0 for c in keys], None),)
         return ()
 
-    found, bound = _sieve_pairs(vals, len(elements), False, residues,
-                                either=form != "sum")
+    found, bound = _sieve_pairs(vals, len(elements), residues)
     large: dict[int, int] = {}
     for v in set(vals):
         _factor_hard(v, large, bound)
     return tuple(found) + tuple(sorted(large))
 
 
-def _pair_norms(coords: Sequence[tuple[int, int]],
-                twisted: Sequence[tuple[int, int]], ordered: bool,
-                ) -> list[int]:
-    """The norms of the pair values (x, y) + (u, v), (x, y) in coords and
-    (u, v) in twisted, in the pair order of pair_e_primes."""
+def _pair_norms(first: Sequence[tuple[int, int]],
+                second: Sequence[tuple[int, int]]) -> Iterator[list[int]]:
+    """The norms of the sums first[i] + second[j] over the pairs i < j,
+    in the order of itertools.combinations, one list per i."""
     # N((x, y) + (u, v)) = N(x, y) + N(u, v) + x*(2u - v) + y*(2v - u)
     terms = [(u * u - u * v + v * v, 2 * u - v, 2 * v - u)
-             for u, v in twisted]
-    norms: list[int] = []
-    for i, (x, y) in enumerate(coords):
+             for u, v in second]
+    for i, (x, y) in enumerate(first):
         na = x * x - x * y + y * y
-        right = terms[:i] + terms[i + 1:] if ordered else terms[i + 1:]
-        norms.extend([na + nb + x * gx + y * gy for nb, gx, gy in right])
-    return norms
+        yield [na + nb + x * gx + y * gy for nb, gx, gy in terms[i + 1:]]
 
 
 def pair_e_primes(elements: Sequence[EInt], rho: EInt,
                   ) -> tuple[tuple[EInt, ...], tuple[EInt, EInt] | None]:
     """The distinct canonical primes of the product of a + rho*b over
     a = elements[i], b = elements[j], i != j, sorted by (norm, a, b).
-    Pair order is lexicographic in (i, j); for rho = 1 or -1, where (j, i)
-    has a value associate to that of (i, j), only i < j is sieved.
+    Pair order is lexicographic in (i, j).  For rho = 1 or -1, where (j, i)
+    has a value associate to that of (i, j), only i < j is sieved;
+    otherwise the mirrors (j, i) are sieved after the pairs i < j.
 
     Returns (primes, None), or ((), (a, b)) for the first pair in pair
     order whose value is zero.  When a value with a coordinate beyond 64
@@ -458,7 +442,15 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt,
     r1, r2 = rho.a, rho.b
     twisted = [(r1 * x - r2 * y, r1 * y + r2 * x - r2 * y) for x, y in coords]
     ordered = (r1, r2) not in ((1, 0), (-1, 0))
-    pairs = itertools.permutations if ordered else itertools.combinations
+    # _sieve_pairs' layout: the pairs i < j of each half, whose values are
+    # first[i] + second[j].  The mirror (j, i) of a pair i < j has the
+    # value coords[j] + twisted[i], so the mirrored half swaps the sides.
+    halves = ((coords, twisted), (twisted, coords))[:1 + ordered]
+
+    def layout_norms() -> list[int]:
+        return reduce(list.__iadd__, itertools.chain.from_iterable(
+            itertools.starmap(_pair_norms, halves)), [])
+
     # every pair value has coordinates within widest, so a norm of at most
     # 3 * widest^2
     widest = (max(max(abs(x), abs(y)) for x, y in coords)
@@ -466,11 +458,12 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt,
     norms: list[int] | None = None
     if 3 * widest * widest > INT64_MAX:
         # a value may leave the range: only the exact norms tell
-        norms = _pair_norms(coords, twisted, ordered)
+        norms = layout_norms()
         if widest > COORD_BOUND or max(norms) > INT64_MAX:
             # Replay the pairs exactly: the first zero, overflowing or
             # oversized value in pair order decides; if none, fall through.
-            for i, j in pairs(range(n), 2):
+            lex = itertools.permutations if ordered else itertools.combinations
+            for i, j in lex(range(n), 2):
                 value = elements[i] + rho * elements[j]
                 if value.is_zero():
                     return (), (elements[i], elements[j])
@@ -486,37 +479,42 @@ def pair_e_primes(elements: Sequence[EInt], rho: EInt,
         i, j = min(zeros)
         return (), (elements[i], elements[j])
     if norms is None:
-        norms = _pair_norms(coords, twisted, ordered)
+        norms = layout_norms()
 
     # for rho = -1, -rho*b is b: a join inside each residue class
     same = (r1, r2) == (-1, 0)
+    # a match with i > j lands on the mirrored half, after the pairs i < j
+    mirror = n * (n - 1) // 2 if ordered else None
 
-    def residues(p: int) -> Iterable[tuple[EInt, list[int], list[int]]]:
+    def residues(p: int) -> Iterable[tuple]:
         if p % 3 == 2:
             # E/(p) = F_p[omega]; the residue (c0, c1) is coded c0 + p*c1
             keys = [x % p + p * (y % p) for x, y in coords]
             return ((EInt(p, 0), keys, keys if same else
-                     [-u % p + p * (-v % p) for u, v in twisted]),)
+                     [-u % p + p * (-v % p) for u, v in twisted], mirror),)
         out = []
         for pi, w in _primes_above(p):
             keys = [(x + y * w) % p for x, y in coords]
             out.append((pi, keys, keys if same else
-                        [-(u + v * w) % p for u, v in twisted]))
+                        [-(u + v * w) % p for u, v in twisted], mirror))
         return out
 
-    found, bound = _sieve_pairs(norms, n, ordered, residues)
+    found, bound = _sieve_pairs(norms, n, residues)
+    layout = itertools.chain.from_iterable(
+        itertools.combinations(zip(first, second), 2)
+        for first, second in halves)
     # named[q] has bit k set for the k-th prime of _primes_above(q), whose
     # root w has x + y*w = 0 mod q; exactly one prime above a prime
     # cofactor q divides the value, so the first root's test settles k,
     # and once both are named (3) the pairs left with cofactor q add none
     named: dict[int, int] = {}
     bound2 = bound * bound
-    for (i, j), m in itertools.compress(zip(pairs(range(n), 2), norms),
-                                        [m > 1 for m in norms]):
+    for (((x, y), _), (_, (u, v))), m in itertools.compress(
+            zip(layout, norms), [m > 1 for m in norms]):
         if named.get(m) == 3:
             continue
-        x = coords[i][0] + twisted[j][0]
-        y = coords[i][1] + twisted[j][1]
+        x += u
+        y += v
         if m < bound2:
             w = _primes_above(m)[0][1]
             named[m] = named.get(m, 0) | 1 << ((x + y * w) % m != 0)

@@ -4,14 +4,18 @@ Most tests drive cli.main() in process and capture stdout/stderr; one
 runs the module as a subprocess to cover the real entry point.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
+import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -683,6 +687,59 @@ class TestPolyprod:
         assert last_manifest(err)["output_digest"] == \
             "cd2f98530a342c0e78be419293281133e046963a5cf61ef4bc53b13227727fbb"
 
+    def test_size_rule_exits_2_before_omega(self, tmp_path, capsys,
+                                            monkeypatch):
+        # |A| < |B| with --check-independence: 60,000 values near 10^17
+        # took 31 s to factor before the size rule was read
+        def factor(n):
+            raise AssertionError("a value was factored")
+
+        monkeypatch.setattr(polyprod, "factor_rational", factor)
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps({"n": 2, "r": [1, 1], "m": [1]}))
+        rng = random.Random(17)
+        values = rng.sample(range(10**17, 2 * 10**17), 500)
+        a = write_set(tmp_path, "a.txt", map(str, values[:200]))
+        b = write_set(tmp_path, "b.txt", map(str, values[200:]))
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["polyprod", "--poly", str(path), "--set-a", a, "--set-b", b,
+             "--check-independence"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "eulab: need |A| >= |B| >= 2, got |A| = 200, " \
+                      "|B| = 300\n"
+
+    def test_omega_past_the_line_exits_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        def factor(n):
+            raise AssertionError("a value was factored")
+
+        monkeypatch.setattr(polyprod, "factor_rational", factor)
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps({"n": 2, "r": [1, 1], "m": [1]}))
+        a = write_set(tmp_path, "a.txt",
+                      [str(2**62 - v) for v in range(1, 122)])
+        b = write_set(tmp_path, "b.txt",
+                      [str(2**62 - v) for v in range(1, 101)])
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["polyprod", "--poly", str(path), "--set-a", a, "--set-b", b],
+            capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("eulab: omega of 12100 values of f is past the line "
+                       "of 12000 values\n")
+
+    def test_output_keys_in_order(self, tmp_path, capsys, poly_file):
+        a = write_set(tmp_path, "a.txt", ["1", "2", "3", "4", "5"])
+        code, out, _ = run_cli(
+            ["polyprod", "--poly", poly_file, "--set-a", a, "--set-b", a,
+             "--check-independence"], capsys)
+        assert code == 0
+        assert list(json.loads(out)) == ["n", "size_a", "size_b", "omega",
+                                         "independence"]
+
     def test_malformed_poly(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -743,6 +800,51 @@ class TestPolyprod:
             ["polyprod", "--poly", str(path), "--set-a", a, "--set-b", a],
             capsys)
         assert code == 2
+
+
+# polyprod set values, small or at the edges: 1, and around the 63-bit
+# line of x + y (2^62) and of x^2 (isqrt(2^63) = 3037000499), and past it;
+# exponents small or at the lines of x^m
+_POLY_VALUES = st.integers(1, 40) | st.integers(1, 40) | st.sampled_from([
+    1, 2**31 - 1, 3037000499, 3037000500, 2**62 - 1, 2**62, 2**63 - 1,
+    2**63])
+_POLY_EXPONENTS = st.integers(0, 3) | st.sampled_from([21, 31, 62, 63])
+
+
+class TestPolyprodFuzz:
+    # Exit status 0, 1 or 2 for every input, never a traceback, and a
+    # manifest line exactly when the status is 0 or 1.  Sets of up to 7
+    # values may repeat a value and may have |A| < |B|.
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 4), check=st.booleans(), data=st.data())
+    def test_exit_contract(self, n, check, data):
+        spec = {"n": n,
+                "r": data.draw(st.lists(st.integers(1, 9), min_size=n,
+                                        max_size=n)),
+                "m": data.draw(st.lists(_POLY_EXPONENTS, min_size=n - 1,
+                                        max_size=n - 1))}
+        sets = [data.draw(st.lists(_POLY_VALUES, min_size=1, max_size=7))
+                for _ in "ab"]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as folder:
+            folder = pathlib.Path(folder)
+            (folder / "poly.json").write_text(json.dumps(spec))
+            argv = ["polyprod", "--poly", str(folder / "poly.json")]
+            for name, values in zip("ab", sets):
+                write_set(folder, f"{name}.txt", map(str, values))
+                argv += [f"--set-{name}", str(folder / f"{name}.txt")]
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["--check-independence"] * check)
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert not any("Traceback" in line for line in lines)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert lines and lines[-1].startswith("eulab: ")
+        else:
+            assert "output_digest" in json.loads(lines[-1])
+            validate_output("polyprod", json.loads(out.getvalue()))
 
 
 class TestReproducibility:

@@ -493,6 +493,48 @@ class TestPairFormPrimes:
         assert pair_form_primes(tuple(2 ** i for i in range(k)), "plus") \
             == tuple(sorted(want))
 
+    # Sets dense in multiples of 3 (the p = 3 join, whose one t = 1/t
+    # makes the rule symmetric) and of 5 (no root of x^2 + x + 1, so the
+    # quadratic forms join class 0 alone)
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("step", [3, 5])
+    def test_dense_multiples_match_naive(self, form, step):
+        rng = random.Random(step * 10 + SEED_OFFSET[form])
+        elements = tuple(sorted(
+            rng.sample(range(step, 1501, step), 50)
+            + rng.sample([v for v in range(1, 1501) if v % step], 14)))
+        assert pair_form_primes(elements, form) == \
+            naive_pair_form_primes(elements, form)
+
+    # At p = 3 (every form) and p = 5 (the sum's t = -1, and the class 0
+    # join of the quadratic forms) the relation is symmetric: the join
+    # reads only i < j and lists each pair p divides exactly once.
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_symmetric_join_lists_each_pair_once(self, monkeypatch, form,
+                                                 p):
+        elements = tuple(sorted((*range(15, 301, 15), 1, 2, 3, 4, 5, 7,
+                                 10, 11, 13)))
+        seen = {}
+        real = factor._sieve_pairs
+
+        def spy(vals, n, residues):
+            seen["residues"] = residues
+            return real(vals, n, residues)
+
+        monkeypatch.setattr(factor, "_sieve_pairs", spy)
+        pair_form_primes(elements, form)
+        pairs = list(itertools.combinations(range(len(elements)), 2))
+        base = [pairs.index((i, i + 1)) - i - 1
+                for i in range(len(elements))[:-1]] + [0]
+        [(label, keys, targets, mirror)] = seen["residues"](p)
+        assert label == p and mirror is None
+        ks = factor._joined(keys, targets, base, mirror)
+        value = PAIR_FORM_VALUES[form]
+        assert sorted(ks) == [
+            k for k, (i, j) in enumerate(pairs)
+            if value(elements[i], elements[j]) % p == 0]
+
     def test_fewer_than_two_elements(self):
         assert pair_form_primes((), "plus") == ()
         assert pair_form_primes((5,), "minus") == ()
@@ -501,6 +543,48 @@ class TestPairFormPrimes:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError, match="unknown pair form"):
             pair_form_primes((1, 2), 1)
+
+
+class TestJoined:
+    # three elements: the pairs (0, 1), (0, 2), (1, 2) sit at 0, 1, 2, and
+    # akeys[i] == bkeys[j] for (0, 1), (0, 2), (1, 0) and (2, 1)
+    BASE = [-1, 0, 0]
+    AKEYS = [1, 2, 1]
+    BKEYS = [2, 1, 1]
+
+    @pytest.mark.parametrize("mirror, want", [
+        (None, [0, 1]),         # symmetric: the pairs i < j alone
+        (0, [0, 0, 1, 2]),      # (1, 0) on (0, 1), (2, 1) on (1, 2)
+        (3, [0, 1, 3, 5]),      # the mirrored half: (1, 0) at 3, (2, 1) at 5
+    ])
+    def test_placement(self, mirror, want):
+        assert sorted(factor._joined(self.AKEYS, self.BKEYS, self.BASE,
+                                     mirror)) == want
+
+    def test_no_shared_key(self):
+        assert factor._joined([0, 1, 2], [3, 4, 5], self.BASE, 0) == []
+
+    @pytest.mark.parametrize("placement", ["none", "same", "mirrored"])
+    def test_random_keys_match_the_layout(self, placement):
+        rng = random.Random(len(placement))
+        for n in range(2, 12):
+            pairs = list(itertools.combinations(range(n), 2))
+            index = {pair: k for k, pair in enumerate(pairs)}
+            base = [index[i, i + 1] - i - 1 for i in range(n - 1)] + [0]
+            mirror = {"none": None, "same": 0, "mirrored": len(pairs)}[
+                placement]
+            akeys = [rng.randrange(3) for _ in range(n)]
+            bkeys = [rng.randrange(3) for _ in range(n)]
+            want = []
+            for i, j in itertools.permutations(range(n), 2):
+                if akeys[i] != bkeys[j]:
+                    continue
+                if i < j:
+                    want.append(index[i, j])
+                elif mirror is not None:
+                    want.append(mirror + index[j, i])
+            assert sorted(factor._joined(akeys, bkeys, base, mirror)) == \
+                sorted(want)
 
 
 def factor_e_union(elements, rho):

@@ -191,6 +191,27 @@ class TestOmegaProduct:
         with pytest.raises(ValueError):
             omega_product(QUADRATIC, [], [1])
 
+    def test_past_the_line_refused_before_any_factoring(self, monkeypatch):
+        # 121 * 100 values is one row past the line of 12,000
+        def factor(n):
+            raise AssertionError("a value was factored")
+
+        monkeypatch.setattr(polyprod, "factor_rational", factor)
+        spec = SparsePolySpec(2, (1, 1), (1,))
+        with pytest.raises(ValueError, match="omega of 12100 values of f is "
+                           "past the line of 12000 values"):
+            omega_product(spec, range(1, 122), range(1, 101))
+
+    def test_line_counts_distinct_values(self):
+        # at the line exactly, and with A listed twice: x + y over
+        # 1..120 and 1..100 takes every prime up to 220
+        spec = SparsePolySpec(2, (1, 1), (1,))
+        a_set = [*range(1, 121), *range(1, 121)]
+        assert polyprod._MAX_PRODUCT_VALUES == 120 * 100
+        assert omega_product(spec, a_set, range(1, 101)) == \
+            len([p for p in range(2, 221)
+                 if all(p % d for d in range(2, p))])
+
     def test_integers_only(self):
         # no float, numeric string or bool is coerced, in A or in B
         for a_set, b_set in [([2.9, 3], [1]), (["7"], [1]), ([True], [1]),
