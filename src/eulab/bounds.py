@@ -10,27 +10,30 @@ divisibility from their summands; verifiers then check the published
 inequalities on randomized sets.
 
 Color assignments are defined by a greedy pass over ring representatives in
-enumeration order, on the raw coordinate pairs of reduced residues:
-products are reduced with ResidueRing.reduce_pair, so no EInt is built
-per residue.  The uv (+-) rule has a closed form, _uv_group: a residue
-takes group 0 when it enumerates before its negative.  The 3-group rule
-needs the greedy walk _three_group.  A residue's greedy color depends
+enumeration order, kept by rank, a residue's enumeration position.  On a
+cyclic ring (core.ResidueRing, d1 = 1: split primes, their powers, and
+lambda) the product by y multiplies ranks by _scale(y); on the boxes of
+inert primes and of lambda^k, k >= 2, pairs are reduced with reduce_pair.
+No EInt is built per residue.  The uv (+-) rule has a closed form,
+_uv_group: a residue takes group 0 when it enumerates before its negative
+(rank j before n - j on a cyclic ring).  The 3-group rule needs the
+greedy walk _three_group over _neighbors.  A residue's greedy color depends
 only on neighbors that enumerate earlier, so the one walk serves both
 uses: splitting a set asks it for the colors of a handful of residues,
 replaying their earlier dependency chains on demand, and a whole coloring
 asks it for every unit in enumeration order, where it never has to
-recurse.  Colors are kept by the rank a*d2 + b of a pair, its enumeration
-position.  A whole coloring is a byte table, one byte per residue, and
+recurse.  A whole coloring is a byte table, one byte per residue, and
 reads EInt keys through a view of it.  The test suite checks both rules,
 queried in any order, against EInt-based oracles.
 
 The uv, Lemma 2 (coset) and Lemma 4 (valuation) splits share one bucket
-routine, _split, and both chains one loop, _chain; refine_t2 takes its
-Lemma 4 prime and every control exponent from one c_constants(rho).
+routine, _split (a one-element set, the usual case late in a chain,
+skips the bucket pass), and both chains one loop, _chain; refine_t2 takes
+its Lemma 4 prime and every control exponent from one c_constants(rho).
 _rho_parts alone writes rho = pi^gamma * rho0 at a prime and takes
 delta = v(1 + rho0), for c_constants, coset_split and three_coloring.
 Those parts, and the unit parts a / pi^v(a) the splits bucket
-(_unit_key), come from core's one pi-power strip, _strip.
+(_unit_rank), come from core's one pi-power strip, _strip.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ class ZeroFactorError(ValueError):
 
 
 def _sorted_set(elements: Iterable[EInt]) -> tuple[EInt, ...]:
+    elements = tuple(elements)  # most splits in a chain see one element
+    if len(elements) == 1:
+        return elements
     return tuple(sorted(set(elements), key=_ekey))
 
 
@@ -132,20 +138,18 @@ def _is_prime_e(pi: EInt) -> bool:
     return is_prime(n) or (q * q == n and q % 3 == 2 and is_prime(q))
 
 
-def _unit_pairs(ring: ResidueRing, pi: EInt) -> Iterator[tuple[int, int]]:
-    """The coordinate pairs of the reduced representatives of ring =
-    E/(pi^k) for a prime pi, in enumeration order.  Such a pair is a unit
-    exactly when pi does not divide it: some coordinate of
-    (i + j w) * conj(pi) is not a multiple of N(pi) (the conj-product test
-    of core.divides), which saves an EInt and a Euclidean gcd per residue
-    (the test suite's reduced_representatives oracle keeps that gcd)."""
+def _unit_ranks(ring: ResidueRing, pi: EInt) -> Iterable[int]:
+    """The ranks of the units of ring = E/(pi^k) for a prime pi, in order:
+    on a cyclic ring those prime to N(pi), on a box the pairs with some
+    coordinate of (i + j w) * conj(pi) not a multiple of N(pi) (core's
+    conj-product test), with no EInt or Euclidean gcd per residue."""
     pa, pb = pi.a, pi.b
     n = pa * pa - pa * pb + pb * pb
+    if ring.d1 == 1:
+        return (j for j in range(ring.size) if j % n)
     d2 = ring.d2
-    for i in range(ring.d1):
-        for j in range(d2):
-            if (i * pa - i * pb + j * pb) % n or (j * pa - i * pb) % n:
-                yield i, j
+    return (i * d2 + j for i in range(ring.d1) for j in range(d2)
+            if (i * pa - i * pb + j * pb) % n or (j * pa - i * pb) % n)
 
 
 def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
@@ -159,20 +163,22 @@ def uv_coloring(pi: EInt, k: int = 1) -> Coloring:
     if k < 1:
         raise ValueError("exponent must be positive")
     ring = ResidueRing(pi ** k)
-    d2 = ring.d2
     table = bytearray(b"\xff") * ring.size
-    for a, b in _unit_pairs(ring, pi):
-        table[a * d2 + b] = _uv_group(ring, a, b)
+    for j in _unit_ranks(ring, pi):
+        table[j] = _uv_group(ring, j)
     return Coloring(ring, pi, 2, table)
 
 
-def _uv_group(ring: ResidueRing, a: int, b: int) -> int:
-    """The uv group of the reduced unit pair (a, b): 0 when it enumerates
-    before its negative, else 1.  Rank a*d2 + b orders pairs as tuples,
-    since 0 <= b < d2.  This is the greedy pass of the +- rule in closed
+def _uv_group(ring: ResidueRing, j: int) -> int:
+    """The uv group of the unit of rank j: 0 when it enumerates before its
+    negative, else 1.  This is the greedy pass of the +- rule in closed
     form: the one neighbor of r is -r, so the first of the two takes
-    group 0 and the other group 1."""
-    return 0 if (a, b) < ring.reduce_pair(-a, -b) else 1
+    group 0 and the other group 1.  -r has rank n - j on a cyclic ring."""
+    if ring.d1 == 1:
+        return 0 if j < ring.size - j else 1
+    d2 = ring.d2
+    a, b = ring.reduce_pair(-(j // d2), -(j % d2))
+    return 0 if j < a * d2 + b else 1
 
 
 def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
@@ -186,16 +192,17 @@ def _rho_parts(pi: EInt, rho: EInt) -> tuple[int, EInt, int | None]:
     return gamma, rho0, _strip(pi, ONE + rho0)[0]
 
 
-def _three_setup(pi: EInt, rho0: EInt, delta: int,
-                 ) -> tuple[ResidueRing, tuple[int, int], tuple[int, int]]:
-    """The ring of the 3-group split for rho0 coprime to pi with
-    delta = v(1 + rho0): the ring mod pi^(delta+1), and -rho0 and
-    -rho0^(-1) there as reduced coordinate pairs."""
-    ring = ResidueRing(pi ** (delta + 1) if delta else pi)
+def _neighbors(ring: ResidueRing, rho0: EInt) -> tuple:
+    """-rho0 and -rho0^(-1) for a unit rho0 of ring, the multipliers of
+    the 3-group rule, as _three_group applies them to ranks: on a cyclic
+    ring t = _scale(-rho0) and t^(-1) mod n, on a box reduced pairs."""
+    n = ring.size
+    if ring.d1 == 1:
+        t = -ring._scale(rho0) % n
+        return t, pow(t, -1, n)
     inv = ring.inverse(rho0)
-    reduce_pair = ring.reduce_pair
-    return (ring, reduce_pair(-rho0.a, -rho0.b),
-            reduce_pair(-inv.a, -inv.b))
+    return (ring.reduce_pair(-rho0.a, -rho0.b),
+            ring.reduce_pair(-inv.a, -inv.b))
 
 
 def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
@@ -208,10 +215,10 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
     second; a residue never collides with itself because that would force
     pi^(delta+1) | 1 + rho0.
 
-    The pass is _three_group queried on each unit pair in enumeration
-    order: every earlier neighbor already has its group then, so the walk
-    never recurses.  Its memo is the Coloring's byte table, filled in
-    place; no EInt is built per residue.
+    The pass is _three_group given every unit rank in order: each earlier
+    neighbor already has its group then, so the walk never recurses.  Its
+    memo is the Coloring's byte table, filled in place; no EInt is built
+    per residue.
     """
     if not _is_prime_e(pi):
         raise ValueError("coloring needs a non-unit prime")
@@ -223,55 +230,57 @@ def three_coloring(pi: EInt, rho0: EInt) -> Coloring:
         raise ValueError("rho0 must be coprime to the prime")
     if delta is None:
         raise ValueError("rho0 = -1 has no finite delta")
-    ring, neg, neg_inv = _three_setup(pi, rho0, delta)
+    ring = ResidueRing(pi ** (delta + 1) if delta else pi)
+    neg, neg_inv = _neighbors(ring, rho0)
     table = bytearray(b"\xff") * ring.size
-    for key in _unit_pairs(ring, pi):
-        _three_group(ring, neg, neg_inv, key, table)
+    _three_group(ring, neg, neg_inv, _unit_ranks(ring, pi), table)
     return Coloring(ring, pi, 3, table, delta=delta)
 
 
-def _three_group(ring: ResidueRing, neg: tuple[int, int],
-                 neg_inv: tuple[int, int], key: tuple[int, int],
+def _three_group(ring: ResidueRing, neg, neg_inv, ranks: Iterable[int],
                  memo: bytearray | defaultdict[int, int]) -> int:
-    """The greedy group of the reduced residue with coordinate pair key
-    under three_coloring's rule, for neg, neg_inv = -rho0, -rho0^(-1).
-    memo maps the rank a*d2 + b of a reduced pair to its group and
-    answers 0xFF for a rank not colored yet: a coloring's byte table, or a
-    defaultdict where the ring is too large for one.  A group depends only
-    on the groups of the neighbors (the products with neg and neg_inv)
-    that rank below it.  The walk keeps a stack of pairs: the top reduces
-    its two neighbors with ring.reduce_pair, pushes the earlier ones the
-    memo lacks, and once none is missing takes the least group they leave
-    free.  A pair pushed twice is colored again to the same group."""
-    d2 = ring.d2
-    c = memo[key[0] * d2 + key[1]]
-    if c != 0xFF:
-        return c
-    reduce_pair = ring.reduce_pair
-    (na, nb), (ia, ib) = neg, neg_inv
-    stack = [key]
-    while stack:
-        a, b = stack[-1]
-        rank = a * d2 + b
-        # (a + b w)(ma + mb w) with w^2 = -1 - w; -1 stands for a later
-        # neighbor, which leaves every group free
-        n1 = reduce_pair(a * na - b * nb, a * nb + na * b - b * nb)
-        r1 = n1[0] * d2 + n1[1]
-        g1 = memo[r1] if r1 < rank else -1
-        n2 = reduce_pair(a * ia - b * ib, a * ib + ia * b - b * ib)
-        r2 = n2[0] * d2 + n2[1]
-        g2 = memo[r2] if r2 < rank else -1
-        if g1 == 0xFF or g2 == 0xFF:
-            if g1 == 0xFF:
-                stack.append(n1)
-            if g2 == 0xFF:
-                stack.append(n2)
-            continue
-        c = 0
-        while c == g1 or c == g2:
-            c += 1
-        memo[rank] = c
-        stack.pop()
+    """Colors each unit rank of ranks in turn under three_coloring's rule,
+    for neg, neg_inv = _neighbors(ring, rho0), and returns the greedy
+    group of the last.  memo maps a rank to its group and answers 0xFF
+    for a rank not colored yet: a coloring's byte table, or a defaultdict
+    where the ring is too large for one.  A group depends only on the
+    groups of the neighbors (the products with neg and neg_inv) that rank
+    below it.  The walk keeps a stack of ranks: the top finds its two
+    neighbors, on a cyclic ring as rank products and on a box by reducing
+    pair products with ring.reduce_pair, pushes the earlier ones the memo
+    lacks, and once none is missing takes the least group they leave
+    free.  A rank pushed twice is colored again to the same group."""
+    cyclic, n, d2, reduce_pair = (ring.d1 == 1, ring.size, ring.d2,
+                                  ring.reduce_pair)
+    for j in ranks:
+        c = memo[j]
+        stack = [j] if c == 0xFF else []
+        while stack:
+            j = stack[-1]
+            if cyclic:
+                r1, r2 = j * neg % n, j * neg_inv % n
+            else:
+                (a, b), (na, nb), (ia, ib) = divmod(j, d2), neg, neg_inv
+                # (a + b w)(ma + mb w) with w^2 = -1 - w
+                a1, b1 = reduce_pair(a * na - b * nb,
+                                     a * nb + na * b - b * nb)
+                a2, b2 = reduce_pair(a * ia - b * ib,
+                                     a * ib + ia * b - b * ib)
+                r1, r2 = a1 * d2 + b1, a2 * d2 + b2
+            # -1 stands for a later neighbor, which leaves every group free
+            g1 = memo[r1] if r1 < j else -1
+            g2 = memo[r2] if r2 < j else -1
+            if g1 == 0xFF or g2 == 0xFF:
+                if g1 == 0xFF:
+                    stack.append(r1)
+                if g2 == 0xFF:
+                    stack.append(r2)
+                continue
+            c = 0
+            while c == g1 or c == g2:
+                c += 1
+            memo[j] = c
+            stack.pop()
     return c
 
 
@@ -336,10 +345,15 @@ class SplitRecord:
     kept: int                  # index of the retained bucket
 
 
-def _split(elements: Iterable[EInt], prime: EInt, rule: str, groups: int,
+def _split(elements: Sequence[EInt], prime: EInt, rule: str, groups: int,
            group) -> tuple[tuple[EInt, ...], SplitRecord]:
     """Bucket elements into groups buckets by group(a), zero into bucket
-    0, and keep the fullest bucket, the first of equals."""
+    0, and keep the fullest bucket, the first of equals.  A one-element
+    set is its own fullest bucket, with one-hot sizes."""
+    if len(elements) == 1:
+        kept = 0 if elements[0].is_zero() else group(elements[0])
+        sizes = (0,) * kept + (1,) + (0,) * (groups - 1 - kept)
+        return tuple(elements), SplitRecord(prime, rule, sizes, kept)
     buckets: list[list[EInt]] = [[] for _ in range(groups)]
     for a in elements:
         buckets[0 if a.is_zero() else group(a)].append(a)
@@ -348,11 +362,17 @@ def _split(elements: Iterable[EInt], prime: EInt, rule: str, groups: int,
     return tuple(buckets[kept]), SplitRecord(prime, rule, sizes, kept)
 
 
-def _unit_key(ring: ResidueRing, pi: EInt, a: EInt) -> tuple[int, int]:
-    """The reduced coordinate pair of the unit part a / pi^v(a) of a
-    nonzero a, stripped by core's _strip."""
+def _unit_rank(ring: ResidueRing, pi: EInt, a: EInt) -> int:
+    """The rank of the unit part a / pi^v(a) of a nonzero a.  On a
+    cyclic ring a is its own unit part when its rank is prime to n; any
+    other a is stripped by core's _strip."""
+    if ring.d1 == 1:
+        j = (a.b - a.a * ring.c) % ring.size
+        if math.gcd(j, ring.size) == 1:
+            return j
     a = _strip(pi, a)[1]
-    return ring.reduce_pair(a.a, a.b)
+    i, j = ring.reduce_pair(a.a, a.b)
+    return i * ring.d2 + j
 
 
 def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
@@ -362,16 +382,23 @@ def coset_split(elements: Iterable[EInt], pi: EInt, rho: EInt,
 
     Each element is bucketed by the greedy 3-group of its unit part
     a0 = a / pi^v(a) mod pi^(delta+1).  Zero, which has no unit part, can
-    go anywhere; group 0 by convention.
+    go anywhere; group 0 by convention.  On a cyclic ring mod pi, rho and
+    1 + rho units there say gamma = delta = 0 with no strip; a zero or
+    unit pi, and rho = 0, reach _rho_parts, which rejects them.
     """
     elements = _sorted_set(elements)
-    _, rho0, delta = _rho_parts(pi, rho)
-    if delta is None:
-        raise ValueError("-rho is a power of the prime; use valuation_split")
-    ring, neg, neg_inv = _three_setup(pi, rho0, delta)
-    memo = defaultdict(lambda: 0xFF)
+    ring, rho0 = (None if pi.is_zero() else ResidueRing(pi)), rho
+    if ring is None or ring.d1 > 1 or ring._scale(rho) in (0, ring.size - 1):
+        _, rho0, delta = _rho_parts(pi, rho)
+        if delta is None:
+            raise ValueError(
+                "-rho is a power of the prime; use valuation_split")
+        if delta:
+            ring = ResidueRing(pi ** (delta + 1))
+    neg, neg_inv = _neighbors(ring, rho0)
+    memo = defaultdict((0xFF).__index__)  # 0xFF: not colored yet
     return _split(elements, pi, "lemma2", 3, lambda a: _three_group(
-        ring, neg, neg_inv, _unit_key(ring, pi, a), memo))
+        ring, neg, neg_inv, (_unit_rank(ring, pi, a),), memo))
 
 
 def valuation_split(elements: Iterable[EInt], theta: EInt, gamma: int,
@@ -396,7 +423,7 @@ def _uv_split(elements: Sequence[EInt], pi: EInt,
     bucketed by the uv group (_uv_group) of its unit part mod pi."""
     ring = ResidueRing(pi)
     return _split(elements, pi, "uv", 2,
-                  lambda a: _uv_group(ring, *_unit_key(ring, pi, a)))
+                  lambda a: _uv_group(ring, _unit_rank(ring, pi, a)))
 
 
 # --------------------------------------------------------------------------
@@ -501,11 +528,13 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
             f"zero factor from pair ({zero[0]}) + rho*({zero[1]})")
     constants = c_constants(rho)
     listed = {pc.pi: pc for pc in constants.primes}
+    # delta is None only for the prime theta with rho = -theta^gamma; most
+    # rho have none, and then no prime of the chain is looked up
+    lemma4 = {pc.pi: pc.gamma for pc in constants.primes if pc.delta is None}
 
     def split(current, pi):
-        # delta is None only for the prime theta with rho = -theta^gamma
-        if pi in listed and listed[pi].delta is None:
-            return valuation_split(current, pi, listed[pi].gamma)
+        if lemma4 and pi in lemma4:
+            return valuation_split(current, pi, lemma4[pi])
         return coset_split(current, pi, rho)
 
     snapshots, steps = _chain(initial, primes, split)

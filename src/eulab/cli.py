@@ -38,7 +38,8 @@ from eulab.bounds import (
 from eulab.core import EInt, ONE
 from eulab.factor import factor_e, factor_rational, omega_e, tau_e
 from eulab.polyprod import (
-    SparsePolySpec, build_vectors, check_independence, omega_product,
+    SparsePolySpec, _product_sets, build_vectors, check_independence,
+    omega_product,
 )
 from eulab.search import PairPrimeCache, check_search, run_search
 
@@ -219,8 +220,10 @@ def _cmd_polyprod(args) -> tuple[dict, int]:
     set_b = _parse_set(args.set_b, int, "integer")
     independence = None
     if args.check_independence:
-        # the size rule and the work line refuse before any value is factored
+        # the size rule, the value line of omega_product and the work line
+        # of check_independence refuse before any determinant or factoring
         _, b_vecs = build_vectors(spec, set_a, set_b)
+        _product_sets(set_a, set_b)
         report = check_independence(b_vecs)
         independence = {
             "independent": report.independent,

@@ -305,7 +305,14 @@ class ResidueRing:
     [[d1, 0], [c, d2]] turns the quotient into the box {0..d1-1} x
     {0..d2-1}, which has exactly norm(mu) = d1*d2 points.  Representatives
     are the points of that box, enumerated in lexicographic (i, j) order,
-    and reduce() is the idempotent map onto them.
+    and reduce() is the idempotent map onto them; the rank of (i, j) is
+    its position i*d2 + j.
+
+    When mu's coordinates are coprime, d1 = 1 and the ring is cyclic, Z/n
+    with n = norm(mu): u + v*omega has rank j = (v - u*c) mod n.  As
+    1 + c*omega is in (mu), omega maps to w = -1/c, which is c - 1 since
+    w^2 + w + 1 = 0 mod n, and the product by y sends rank j to
+    j * _scale(y), _scale(y) = y.a + y.b*w.
     """
 
     __slots__ = ("modulus", "d1", "d2", "c", "size")
@@ -331,6 +338,11 @@ class ResidueRing:
         and builds no EInt, so u and v may leave the 64-bit range."""
         k = u // self.d1
         return u - k * self.d1, (v - k * self.c) % self.d2
+
+    def _scale(self, y: EInt) -> int:
+        """The image y.a + y.b*w of y in Z/n, for a cyclic ring (d1 = 1):
+        the factor by which multiplying by y scales a rank."""
+        return (y.a + y.b * (self.c - 1)) % self.size
 
     def inverse(self, x: EInt) -> EInt:
         """The reduced inverse of x mod mu.

@@ -185,6 +185,21 @@ def check_independence(b_vectors: VectorSet) -> IndependenceReport:
     return IndependenceReport(True, n, checked, None)
 
 
+def _product_sets(a_set: Iterable[int], b_set: Iterable[int]) -> tuple:
+    """The sets omega_product reads, without duplicates, or ValueError
+    for an empty set or past the line of _MAX_PRODUCT_VALUES values."""
+    a_elems = _positive_elements(a_set, "A")
+    b_elems = _positive_elements(b_set, "B")
+    if not a_elems or not b_elems:
+        raise ValueError("both sets must be nonempty")
+    values = len(a_elems) * len(b_elems)
+    if values > _MAX_PRODUCT_VALUES:
+        raise ValueError(
+            f"omega of {values} values of f is past the line of "
+            f"{_MAX_PRODUCT_VALUES} values")
+    return a_elems, b_elems
+
+
 def omega_product(spec: SparsePolySpec, a_set: Iterable[int],
                   b_set: Iterable[int]) -> int:
     """Distinct rational primes dividing the product of f(a, b) over A x B.
@@ -197,15 +212,7 @@ def omega_product(spec: SparsePolySpec, a_set: Iterable[int],
     More than _MAX_PRODUCT_VALUES values raise ValueError before any is
     factored.
     """
-    a_elems = _positive_elements(a_set, "A")
-    b_elems = _positive_elements(b_set, "B")
-    if not a_elems or not b_elems:
-        raise ValueError("both sets must be nonempty")
-    values = len(a_elems) * len(b_elems)
-    if values > _MAX_PRODUCT_VALUES:
-        raise ValueError(
-            f"omega of {values} values of f is past the line of "
-            f"{_MAX_PRODUCT_VALUES} values")
+    a_elems, b_elems = _product_sets(a_set, b_set)
     top = max(spec.m)
     primes: set[int] = set()
     for x in a_elems:

@@ -17,7 +17,8 @@ from eulab.bounds import (
     phi, random_eint_set, random_int_set, run_trials,
     three_coloring, uv_coloring, valuation_split, verify_cor1, verify_cor2,
     verify_erdos_turan, verify_rho_minus1, verify_t1, verify_t2,
-    _above_log, _rho_parts, _three_group, _unit_pairs, _uv_group, _uv_split,
+    _above_log, _neighbors, _rho_parts, _three_group, _unit_ranks, _uv_group,
+    _uv_split,
 )
 from oracles import (
     _canonical_of_norm, _trial_division_primes, control_exponent,
@@ -29,23 +30,27 @@ MINUS_ONE = EInt(-1, 0)
 SMALL_ODD_PRIMES = [LAMBDA, EInt(3, 1), EInt(3, 2), EInt(4, 1), EInt(5, 0)]
 
 
+def _rank(ring, r):
+    """The enumeration position of the reduced residue r."""
+    return r.a * ring.d2 + r.b
+
+
 def _assert_any_order(ring, want, group):
-    """group(key, memo) gives want[r] for the pair key of every residue r,
-    queried once each with a fresh memo and then all in a shuffled order
+    """group(rank, memo) gives want[r] for the rank of every residue r,
+    queried in a shuffled order, once each with a fresh memo and then all
     sharing one memo: a walk whose answer depends on what an earlier query
     left in the memo fails the second pass.  Both kinds of rank-keyed
     store are run: a defaultdict and a byte table of the ring's size, each
     answering 0xFF for a rank not colored yet."""
-    keys = [(r.a, r.b) for r in want]
-    shuffled = keys[:]
-    random.Random(len(keys)).shuffle(shuffled)
+    want = {_rank(ring, r): value for r, value in want.items()}
+    shuffled = list(want)
+    random.Random(len(want)).shuffle(shuffled)
     for fresh in (lambda: defaultdict(lambda: 0xFF),
                   lambda: bytearray(b"\xff") * ring.size):
-        for key, value in zip(keys, want.values()):
-            assert group(key, fresh()) == value, key
+        for j in shuffled:
+            assert group(j, fresh()) == want[j], j
         memo = fresh()
-        got = {key: group(key, memo) for key in shuffled}
-        assert got == dict(zip(keys, want.values()))
+        assert {j: group(j, memo) for j in shuffled} == want
 
 
 def _uv_oracle(ring):
@@ -83,25 +88,27 @@ class TestUvColoring:
         # the assignment iterates in enumeration order
         assert list(col.assignment.items()) == list(want.items())
         # the closed-form rule keeps no memo, so the memo goes unused
-        _assert_any_order(ring, want, lambda key, memo:
-                          _uv_group(ring, *key))
+        _assert_any_order(ring, want, lambda j, memo: _uv_group(ring, j))
 
     @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
     def test_walk_reduces_one_neighbor_per_step(self, pi):
-        # the uv rule reduces its one neighbor, -r, once per query and in
-        # any order; it reads nothing of the ring but reduce_pair
+        # the uv rule finds the rank of its one neighbor, -r, in any order:
+        # n - j on a cyclic ring, with no reduction, and one reduce_pair of
+        # (-a, -b) on the box of 5
         ring = ResidueRing(pi)
-        reduce_pair = ring.reduce_pair
+        assert (ring.d1 == 1) == (pi != EInt(5, 0))
         calls = []
-        counting = SimpleNamespace(reduce_pair=lambda a, b: (
-            calls.append((a, b)), reduce_pair(a, b))[1])
+        counting = SimpleNamespace(
+            d1=ring.d1, d2=ring.d2, size=ring.size,
+            reduce_pair=lambda a, b: (calls.append((a, b)),
+                                      ring.reduce_pair(a, b))[1])
         want = _uv_oracle(ring)
-        keys = [(r.a, r.b) for r in want]
+        keys = list(want)
         random.Random(str(pi)).shuffle(keys)
-        for key in keys:
+        for r in keys:
             calls.clear()
-            assert _uv_group(counting, *key) == want[EInt(*key)], key
-            assert calls == [(-key[0], -key[1])], key
+            assert _uv_group(counting, _rank(ring, r)) == want[r], r
+            assert calls == ([] if ring.d1 == 1 else [(-r.a, -r.b)]), r
 
     def test_rejects_even_norm_and_units(self):
         with pytest.raises(ValueError):
@@ -122,8 +129,8 @@ class TestUvColoring:
 ])
 def test_prime_power_units_match_gcd_oracle(pi, k):
     ring = ResidueRing(pi ** k)
-    assert list(_unit_pairs(ring, pi)) == \
-        [(r.a, r.b) for r in reduced_representatives(ring)]
+    assert list(_unit_ranks(ring, pi)) == \
+        [_rank(ring, r) for r in reduced_representatives(ring)]
 
 
 def test_colorings_reject_non_primes():
@@ -192,11 +199,20 @@ class TestThreeColoring:
     def test_lazy_matches_eager(self, pi, rho0):
         _, modulus, want = three_coloring_greedy(pi, rho0)
         ring = ResidueRing(modulus)
-        neg = ring.reduce(-rho0)
-        neg_inv = ring.reduce(-ring.inverse(rho0))
-        mults = (neg.a, neg.b), (neg_inv.a, neg_inv.b)
-        _assert_any_order(ring, want, lambda key, memo:
-                          _three_group(ring, *mults, key, memo))
+        mults = _neighbors(ring, rho0)
+        products = (-rho0, -ring.inverse(rho0))
+        if ring.d1 == 1:
+            # the rank rule: the product by -rho0 (-rho0^-1) multiplies
+            # ranks by the first (second) multiplier
+            for r in want:
+                for m, x in zip(mults, products):
+                    assert _rank(ring, ring.reduce(x * r)) == \
+                        _rank(ring, r) * m % ring.size, r
+        else:
+            assert mults == tuple((y.a, y.b) for y in map(ring.reduce,
+                                                          products))
+        _assert_any_order(ring, want, lambda j, memo:
+                          _three_group(ring, *mults, (j,), memo))
 
     @pytest.mark.parametrize("pi,rho0,delta", _oracle_cases())
     def test_matches_greedy_oracle(self, pi, rho0, delta):
@@ -222,6 +238,37 @@ class TestThreeColoring:
             with pytest.raises(ValueError) as info:
                 three_coloring(pi, rho0)
             assert str(info.value) == message, (pi, rho0)
+
+
+class TestBoxRings:
+    """The moduli with a common factor in their coordinates keep the pair
+    walk (d1 > 1): the inert 5 and 11, and lambda^2 and lambda^3, where
+    3 = -omega^2 lambda^2 divides both coordinates."""
+
+    CASES = [(EInt(5, 0), 1), (EInt(11, 0), 1), (LAMBDA, 2), (LAMBDA, 3)]
+
+    @pytest.mark.parametrize("pi,k", CASES)
+    def test_uv_coloring(self, pi, k):
+        col = uv_coloring(pi, k)
+        ring = col.ring
+        assert ring.d1 > 1
+        want = _uv_oracle(ring)
+        assert list(col.assignment.items()) == list(want.items())
+        _assert_any_order(ring, want, lambda j, memo: _uv_group(ring, j))
+
+    @pytest.mark.parametrize("pi,k", CASES)
+    def test_three_coloring(self, pi, k):
+        # 1 + rho0 = pi^(k-1) puts delta = k - 1, so the ring is mod pi^k
+        rho0 = OMEGA if k == 1 else pi ** (k - 1) - ONE
+        col = three_coloring(pi, rho0)
+        ring = col.ring
+        delta, modulus, want = three_coloring_greedy(pi, rho0)
+        assert ring.d1 > 1 and ring.modulus == modulus == pi ** k
+        assert (col.delta, list(col.assignment.items())) == \
+            (delta, list(want.items()))
+        mults = _neighbors(ring, rho0)
+        _assert_any_order(ring, want, lambda j, memo:
+                          _three_group(ring, *mults, (j,), memo))
 
 
 class TestColoringView:
@@ -454,6 +501,45 @@ class TestUvSplit:
             assert record == SplitRecord(pi, "uv", sizes,
                                          sizes.index(max(sizes)))
             assert kept == tuple(buckets[record.kept])
+
+
+def _one_hot(groups, kept):
+    return tuple(int(g == kept) for g in range(groups))
+
+
+class TestOneElementSplits:
+    """A one-element set skips the bucket pass: its record must still be
+    the one the eager coloring's buckets give, for a unit r, for pi*r
+    (whose unit part is r) and for zero (bucket 0)."""
+
+    # (pi, rho): gamma = delta = 0 (the cyclic shortcut where pi allows
+    # it), delta = 1 (1 + rho = u*pi) and gamma = 1, on cyclic rings and
+    # on the boxes of the inert 2 and 5
+    CASES = [(pi, rho) for index, pi in enumerate(
+        [LAMBDA, EInt(3, 1), EInt(3, 2), EInt(2, 0), EInt(5, 0)])
+        for rho in (OMEGA, UNITS[index + 1] * pi - ONE, pi * OMEGA)]
+
+    @pytest.mark.parametrize("pi,rho", CASES)
+    def test_coset_split(self, pi, rho):
+        gamma = valuation(pi, rho)
+        col = three_coloring(pi, rho // pi ** gamma)
+        assert col.delta == (rho != OMEGA and gamma == 0)
+        for r, group in list(col.assignment.items()) + [(ZERO, 0)]:
+            for a in {r, pi * r}:
+                kept, record = coset_split([a], pi, rho)
+                assert kept == (a,)
+                assert record == SplitRecord(pi, "lemma2",
+                                             _one_hot(3, group), group), a
+
+    @pytest.mark.parametrize("pi", SMALL_ODD_PRIMES)
+    def test_uv_split(self, pi):
+        col = uv_coloring(pi)
+        for r, group in list(col.assignment.items()) + [(ZERO, 0)]:
+            for a in {r, pi * r}:
+                kept, record = _uv_split((a,), pi)
+                assert kept == (a,)
+                assert record == SplitRecord(pi, "uv", _one_hot(2, group),
+                                             group), a
 
 
 class TestValuationSplit:

@@ -731,6 +731,30 @@ class TestPolyprod:
         assert err == ("eulab: omega of 12100 values of f is past the line "
                        "of 12000 values\n")
 
+    def test_both_lines_refuse_before_any_determinant(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # C(2501, 2) * 2^3 = 25,010,000 is inside the independence line,
+        # but 2500 * 2500 values are past the value line: no determinant
+        # may run before that refusal
+        calls = []
+        monkeypatch.setattr(polyprod, "integer_determinant",
+                            lambda rows: calls.append(rows) or 1)
+
+        def factor(n):
+            raise AssertionError("a value was factored")
+
+        monkeypatch.setattr(polyprod, "factor_rational", factor)
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps({"n": 2, "r": [1, 1], "m": [1]}))
+        a = write_set(tmp_path, "a.txt", map(str, range(1, 2501)))
+        code, out, err = run_cli(
+            ["polyprod", "--poly", str(path), "--set-a", a, "--set-b", a,
+             "--check-independence"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("eulab: omega of 6250000 values of f is past the "
+                       "line of 12000 values\n")
+        assert calls == []
+
     def test_output_keys_in_order(self, tmp_path, capsys, poly_file):
         a = write_set(tmp_path, "a.txt", ["1", "2", "3", "4", "5"])
         code, out, _ = run_cli(

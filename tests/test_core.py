@@ -17,8 +17,8 @@ from eulab.core import (
 )
 from eulab.core import _strip, _xgcd
 from oracles import (
-    canonical_by_scan, reduced_representatives, representatives,
-    strip_by_division,
+    _canonical_of_norm, _trial_division_primes, canonical_by_scan,
+    reduced_representatives, representatives, strip_by_division,
 )
 
 coords = st.integers(min_value=-200, max_value=200)
@@ -482,6 +482,33 @@ def test_inverse_rejects_non_invertible(modulus, x):
     with pytest.raises(ValueError, match=rf"^{x} is not invertible mod "
                                          rf"{modulus}$"):
         ResidueRing(modulus).inverse(x)
+
+
+def test_rank_rule_on_cyclic_rings():
+    # every canonical prime of prime norm up to 150 (lambda and the split
+    # primes) and (3,1)^2, the ring of a delta = 1 split at (3,1), is
+    # cyclic; the inert 2, 5 and 11 are boxes
+    moduli = [pi for n in range(2, 151) if _trial_division_primes(n) == [n]
+              for pi in _canonical_of_norm(n)] + [PI31 ** 2]
+    # lambda, two conjugates over each of the 15 primes 1 mod 3, (3,1)^2
+    assert len(moduli) == 32
+    for q in (2, 5, 11):
+        assert ResidueRing(EInt(q, 0)).d1 == q
+    for modulus in moduli:
+        ring = ResidueRing(modulus)
+        n = ring.size
+        assert ring.d1 == 1 and ring.d2 == n
+        # omega maps to w = c - 1, a root of w^2 + w + 1 mod n
+        w = ring._scale(OMEGA)
+        assert (w, (w * w + w + 1) % n, ring._scale(ONE)) == (ring.c - 1, 0, 1)
+        rng = random.Random(str(modulus))
+        for _ in range(40):
+            x, y = (EInt(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+                    for _ in range(2))
+            i, j = ring.reduce_pair(x.a, x.b)
+            assert (i, j) == (0, (x.b - x.a * ring.c) % n)
+            assert ring.reduce_pair((x * y).a, (x * y).b) == \
+                (0, j * ring._scale(y) % n), (modulus, x, y)
 
 
 def test_positions_follow_enumeration_order():
