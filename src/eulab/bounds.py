@@ -44,7 +44,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from eulab.core import (
     EInt, ONE, ResidueRing, _ekey, _strip, divides, exact_div, gcd, valuation,
@@ -337,8 +337,7 @@ def c_constants(rho: EInt) -> RhoConstants:
 # set splits
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitRecord:
+class SplitRecord(NamedTuple):
     prime: EInt
     rule: str                  # "uv" | "lemma2" | "lemma4"
     sizes: tuple[int, ...]     # bucket sizes, index = group

@@ -27,9 +27,9 @@ bitmasks, unioned with | and counted with bit_count() as in bit-parallel
 clique search (San Segundo et al. 2011): primes shared by two or more
 pairs in range take one bit each, most frequent first, and a prime of a
 single pair is kept as a per-pair count, since it joins a union exactly
-when its pair is chosen.  Workers are forked processes that split the
-first elements, each with its own incumbent, and share nothing but the
-read-only row table, so node counts do not depend on timing.
+when its pair is chosen.  Element 1's walk seeds the incumbent of each
+other first element's walk, a task for a forked worker sharing only the
+read-only row table, so node counts depend on the search shape alone.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
 from eulab.factor import _roots_x2_x_1, sieve_primes
 
@@ -166,15 +165,15 @@ def _row_table(cache: PairPrimeCache, max_element: int,
     return pm, sc
 
 
-def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
+def _slice(pm, sc, max_element: int, k: int, first: int, best: float,
            primitive_only: bool, all_witnesses: bool,
            ) -> tuple[int, list[tuple[int, ...]], int]:
-    """Branch and bound over the k-sets rooted at the given first
-    elements, with an incumbent best that only falls.  pm and sc are the
+    """Branch and bound over the k-sets whose least element is first,
+    with an incumbent seeded at best that only falls.  pm and sc are the
     masks and single-pair counts of _row_table.  Returns (best, sets,
-    nodes): best is the least omega of the slice's sets and sets lists,
-    in lexicographic order, every set attaining it, or only the first
-    without all_witnesses.
+    nodes): best is the least of the seed and the walk's omegas, and
+    sets lists, in lexicographic order, the walk's sets attaining it, or
+    only the first without all_witnesses, which lists none at the seed.
 
     A node holds the single-pair count base of the chosen elements and
     candidates (e, U_e, d_e): U_e is the mask of the union for
@@ -183,24 +182,18 @@ def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
     keeps (f, U_e | U_f | pm[e][f], d_f + sc[e][f]) for each later
     candidate f still within the current limit: best with all_witnesses,
     which keeps ties, else best - 1, which keeps only strictly better
-    sets, so the set kept last is the first at the slice's minimum.  A
+    sets, so the set kept last is the first at the walk's minimum.  A
     node left with fewer candidates than elements still needed is cut.
     A leaf scans all its candidates, since best may have fallen after
     its list was built and a later candidate may still lower it.  Each
     mask tested against the limit counts as one node."""
-    nodes = 0
-    # above any omega: each of the k(k-1)/2 pair values is below 3M^2
-    # and has fewer distinct primes than bits
-    best = k * (k - 1) // 2 * (3 * max_element * max_element).bit_length() + 1
     slack = 0 if all_witnesses else 1
     found: list[tuple[int, ...]] = []
     gcd = math.gcd
-    elems: list[int] = []
+    elems = [first]
 
-    def extend(cands: list, need: int, base: int,
-               starts: Sequence[int] | None = None) -> None:
-        """Choose the remaining need elements from cands, the first of
-        them at the indices starts when given, else at any index."""
+    def extend(cands: list, need: int, base: int) -> None:
+        """Choose the remaining need elements from cands."""
         nonlocal nodes, best
         if need == 1:
             g = gcd(*elems)
@@ -215,7 +208,7 @@ def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
                     continue
                 found.append((*elems, e))
             return
-        for i in range(len(cands) - need + 1) if starts is None else starts:
+        for i in range(len(cands) - need + 1):
             e, u, du = cands[i]
             row = pm[e]
             srow = sc[e]
@@ -231,10 +224,12 @@ def _slice(pm, sc, max_element: int, k: int, firsts: Sequence[int],
             extend(child, need - 1, base + du)
             elems.pop()
 
-    # the root: every element with an empty union, the first chosen
-    # only among firsts (an empty firsts walks nothing)
-    extend([(e, 0, 0) for e in range(1, max_element + 1)], k, 0,
-           starts=[a - 1 for a in firsts])
+    # the root: first's pairs with every larger element, one test each
+    row, srow = pm[first], sc[first]
+    nodes = max_element - first
+    cands = [(f, m, d) for f in range(first + 1, max_element + 1)
+             if (m := row[f]).bit_count() + (d := srow[f]) <= best - slack]
+    extend(cands, k - 1, 0)
     return best, found, nodes
 
 
@@ -265,22 +260,21 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
     A cache built for a larger table can serve any smaller max_element.
     With all_witnesses the full list of minimum sets is returned in
     lexicographic order; otherwise only the lexicographically first.
-    The first elements are split over the workers, and each slice is
-    searched in one pass with its own falling incumbent (_slice); the
-    minimum is the least of the slices' minima, and the witnesses are
-    the merged lists of the slices that reach it.  Workers are capped at
-    the max_element - k + 1 first elements that can start a k-set.
-    Results never depend on the worker count.  nodes_visited does in
-    both modes, since a slice prunes only against its own incumbent, but
-    it never depends on timing.
+    Each first element is walked once (_slice): element 1 with the seed
+    math.inf, then every other first element of a k-set as a task seeded
+    with element 1's minimum, in order or on at most max_element - k
+    forked workers.  A seeded walk is exact when its minimum is at most
+    its seed, and the global minimum is at most element 1's, so the
+    minimum is the least of the walks' and the witnesses are the merged
+    lists of the walks that reach it.  Neither results nor nodes_visited
+    depend on the worker count or on timing.
     """
     if max_element is None:
         max_element = cache.max_element
     if max_element > cache.max_element:
         raise ValueError("cache too small for the requested max_element")
     check_search(k, max_element, workers)
-    starts = max_element - k + 1
-    workers = min(workers, starts)
+    workers = min(workers, max_element - k)
     if workers > 1:
         # Imported here, as only a run that forks workers needs it.
         import multiprocessing
@@ -288,17 +282,20 @@ def run_search(cache: PairPrimeCache, k: int, max_element: int | None = None,
             workers = 1
 
     start = time.perf_counter()
-    slices = [range(w + 1, starts + 1, workers) for w in range(workers)]
     with contextlib.ExitStack() as stack:
         _FORK["table"] = _row_table(cache, max_element)
         stack.callback(_FORK.clear)
+        parts = [_entry((max_element, k, 1, math.inf, primitive_only,
+                         all_witnesses))]
         mapper = map
         if workers > 1:
+            # imap deals one task at a time, as task sizes vary widely
             mapper = stack.enter_context(
-                multiprocessing.get_context("fork").Pool(workers)).map
-        parts = list(mapper(_entry, [
-            (max_element, k, s, primitive_only, all_witnesses)
-            for s in slices]))
+                multiprocessing.get_context("fork").Pool(workers)).imap
+        parts += mapper(_entry, [
+            (max_element, k, first, parts[0][0], primitive_only,
+             all_witnesses)
+            for first in range(2, max_element - k + 2)])
     minimum = min(best for best, _, _ in parts)
     witnesses = sorted(w for best, sets, _ in parts if best == minimum
                        for w in sets)

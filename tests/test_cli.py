@@ -835,6 +835,14 @@ _POLY_VALUES = st.integers(1, 40) | st.integers(1, 40) | st.sampled_from([
 _POLY_EXPONENTS = st.integers(0, 3) | st.sampled_from([21, 31, 62, 63])
 
 
+def _main(argv):
+    """(status, stdout, stderr lines) of cli.main(argv) in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
 class TestPolyprodFuzz:
     # Exit status 0, 1 or 2 for every input, never a traceback, and a
     # manifest line exactly when the status is 0 or 1.  Sets of up to 7
@@ -849,7 +857,6 @@ class TestPolyprodFuzz:
                                         max_size=n - 1))}
         sets = [data.draw(st.lists(_POLY_VALUES, min_size=1, max_size=7))
                 for _ in "ab"]
-        out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as folder:
             folder = pathlib.Path(folder)
             (folder / "poly.json").write_text(json.dumps(spec))
@@ -857,18 +864,49 @@ class TestPolyprodFuzz:
             for name, values in zip("ab", sets):
                 write_set(folder, f"{name}.txt", map(str, values))
                 argv += [f"--set-{name}", str(folder / f"{name}.txt")]
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.main(argv + ["--check-independence"] * check)
+            code, out, lines = _main(argv + ["--check-independence"] * check)
         assert code in (0, 1, 2)
-        lines = err.getvalue().splitlines()
         assert not any("Traceback" in line for line in lines)
         if code == 2:
-            assert out.getvalue() == ""
+            assert out == ""
             assert lines and lines[-1].startswith("eulab: ")
         else:
             assert "output_digest" in json.loads(lines[-1])
-            validate_output("polyprod", json.loads(out.getvalue()))
+            validate_output("polyprod", json.loads(out))
+
+
+class TestSearchFuzz:
+    # Exit status 0 or 2 for every shape, never a traceback, a manifest
+    # line exactly on 0, and on 0 the nodes_visited of a one-worker run.
+    # A runnable range is listed twice beside its edges, so that most
+    # examples run a search.  k runs to 8 or sits at the edges max - 1
+    # .. max + 1, 1 and below: at max 30 the k between 9 and max - 2
+    # take up to 7 s each.
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 30) | st.integers(2, 30)
+           | st.sampled_from([-3, 0, 1, 2001]),
+           workers=st.integers(1, 4) | st.integers(-1, 4),
+           primitive=st.booleans(), all_witnesses=st.booleans(),
+           data=st.data())
+    def test_exit_contract(self, m, workers, primitive, all_witnesses, data):
+        small = st.integers(2, max(2, min(m, 8)))
+        k = data.draw(small | small
+                      | st.sampled_from([m - 1, m, m + 1, 1, 0, -2]))
+        shape = ["search", "--k", str(k), "--max", str(m)]
+        shape += ["--primitive"] * primitive
+        shape += ["--all-witnesses"] * all_witnesses
+        code, out, lines = _main(shape + ["--workers", str(workers)])
+        assert code in (0, 2)
+        assert not any("Traceback" in line for line in lines)
+        if code == 2:
+            assert out == ""
+            assert lines and lines[-1].startswith("eulab: ")
+            return
+        assert "output_digest" in json.loads(lines[-1])
+        result = json.loads(out)
+        validate_output("search", result)
+        one = json.loads(_main(shape + ["--workers", "1"])[1])
+        assert result["nodes_visited"] == one["nodes_visited"]
 
 
 class TestReproducibility:

@@ -35,6 +35,22 @@ def cache400():
     return PairPrimeCache(400)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools run_search starts during the test."""
+    fork = multiprocessing.get_context("fork")
+    sizes = []
+
+    class Spy:
+        def Pool(self, processes):
+            sizes.append(processes)
+            return fork.Pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: Spy())
+    return sizes
+
+
 class TestPairPrimeCache:
     def test_indices_match_direct_factorization(self, cache60):
         rows = unpacked_rows(cache60)
@@ -116,18 +132,21 @@ class TestRowTable:
         assert big.nodes_visited == small.nodes_visited
 
     def test_benchmark_rows_walk_pinned_tree(self):
-        # the benchmark's search rows at one worker: minima as published,
-        # node counts pinned so that a change to the walk shows
+        # the benchmark's search rows: minima as published, node counts
+        # pinned so that a change to the walk shows, the same at one
+        # worker (as the benchmark runs) as at two and three
         cache = PairPrimeCache(360)
         rows = [(3, 140, True, 3, 416_551), (4, 72, True, 4, 98_793),
                 (5, 44, True, 5, 79_058), (6, 36, True, 6, 64_565),
                 (4, 150, False, 4, 523_391), (5, 90, False, 5, 189_420),
                 (7, 64, False, 7, 562_217), (8, 36, True, 9, 332_867)]
         for k, m, all_witnesses, minimum, nodes in rows:
-            result = run_search(cache, k, m, primitive_only=True,
-                                all_witnesses=all_witnesses, workers=1)
-            assert (result.minimum, result.nodes_visited) == (
-                minimum, nodes), (k, m)
+            for workers in (1, 2, 3):
+                result = run_search(cache, k, m, primitive_only=True,
+                                    all_witnesses=all_witnesses,
+                                    workers=workers)
+                assert (result.minimum, result.nodes_visited) == (
+                    minimum, nodes), (k, m, workers)
 
 
 class TestRunSearch:
@@ -152,7 +171,8 @@ class TestRunSearch:
     ])
     def test_single_pass_matches_brute_force(self, cache60, k, m, primitive,
                                              workers):
-        # each slice's falling incumbent, merged over 1 to 3 slices
+        # element 1's walk, then the seeded walks of the other first
+        # elements, in process or on 2 or 3 workers
         best, witnesses = _brute_force(k, m, primitive)
         for all_witnesses in (True, False):
             result = run_search(cache60, k, m, primitive_only=primitive,
@@ -182,32 +202,48 @@ class TestRunSearch:
         (3, 40, True), (3, 30, False), (4, 24, True), (2, 20, False),
     ])
     def test_slice_finds_its_own_minimum(self, cache60, k, m, primitive):
-        # a slice returns the least omega of the sets rooted at its first
-        # elements and every set attaining it in order, or the first of
-        # them in first-witness mode
+        # a walk returns the least omega of the sets whose least element
+        # is first and every set attaining it in order, or the first of
+        # them in first-witness mode, whenever that omega is below its
+        # seed; at a seed equal to it, all-witness mode still lists the
+        # ties and first-witness mode keeps no set
         table = _row_table(cache60, m)
         sets = [s for s in itertools.combinations(range(1, m + 1), k)
                 if not primitive or math.gcd(*s) == 1]
-        for firsts in (range(1, m + 1, 2), range(2, m + 1, 2),
-                       range(1, m + 1, 3), range(m - k + 1, m - k + 2)):
-            mine = [s for s in sets if s[0] in firsts]
+        for first in (1, 2, 3, m // 2, m - k + 1):
+            mine = [s for s in sets if s[0] == first]
+            if not mine:
+                continue
             best = min(omega_naive(s) for s in mine)
             expect = [s for s in mine if omega_naive(s) == best]
-            got = _slice(*table, m, k, firsts, primitive, True)
-            assert got[:2] == (best, expect)
-            assert got[2] > 0
-            assert _slice(*table, m, k, firsts, primitive, False)[:2] == (
-                best, expect[:1])
+            for seed in (10 * k * k, best + 1):
+                got = _slice(*table, m, k, first, seed, primitive, True)
+                assert got[:2] == (best, expect)
+                assert got[2] >= m - first
+                assert _slice(*table, m, k, first, seed, primitive,
+                              False)[:2] == (best, expect[:1])
+            assert _slice(*table, m, k, first, best, primitive,
+                          True)[:2] == (best, expect)
+            assert _slice(*table, m, k, first, best, primitive,
+                          False)[:2] == (best, [])
 
     @pytest.mark.parametrize("all_witnesses", [True, False])
-    def test_empty_slice_walks_nothing(self, cache60, all_witnesses):
-        # an empty range is falsy: the root step must still walk none of
-        # the first elements rather than all of them
-        table = _row_table(cache60, 20)
-        for firsts in ([], range(5, 5)):
-            _, found, nodes = _slice(*table, 20, 3, firsts, False,
-                                     all_witnesses)
-            assert (found, nodes) == ([], 0)
+    def test_seed_below_every_set_keeps_the_seed(self, cache60,
+                                                 all_witnesses):
+        # a walk seeded below every set it can reach returns the seed and
+        # no set; at seed 0 no pair passes the root, so its tests are all
+        # the nodes counted
+        m, k = 20, 3
+        table = _row_table(cache60, m)
+        for first in (1, 5, m - k + 1):
+            best = min(omega_naive(s) for s in itertools.combinations(
+                range(first, m + 1), k) if s[0] == first)
+            for seed in (0, best - 1):
+                got = _slice(*table, m, k, first, seed, False, all_witnesses)
+                assert got[:2] == (seed, [])
+                assert got[2] >= m - first
+            assert _slice(*table, m, k, first, 0, False,
+                          all_witnesses)[2] == m - first
 
     def test_slice_leaf_scans_past_its_first_hit(self):
         # A hand-made table over 1..4 with three primes and no singles:
@@ -223,41 +259,61 @@ class TestRunSearch:
         pm[1][3] = p1
         pm[2][3] = p2
         for all_witnesses in (True, False):
-            assert _slice(pm, sc, 4, 3, [1], False, all_witnesses)[:2] == (
+            # seeded at 4, above the table's three primes
+            assert _slice(pm, sc, 4, 3, 1, 4, False, all_witnesses)[:2] == (
                 1, [(1, 2, 4)])
 
     def test_nodes_do_not_depend_on_timing(self, cache60):
         # shapes where a shared incumbent made the counts vary run to run;
-        # each slice keeps its own incumbent, so nodes depend on the
-        # worker count but repeat at a fixed one, in both modes
+        # every task's seed is element 1's minimum, so nodes repeat and
+        # do not depend on the worker count, in both modes
         for all_witnesses, (k, m) in itertools.product(
                 (True, False), ((4, 40), (5, 30))):
-            runs = {w: [run_search(cache60, k, m, primitive_only=True,
-                                   all_witnesses=all_witnesses, workers=w)
-                        for _ in range(2)] for w in (1, 4)}
-            for first, again in runs.values():
-                assert first.nodes_visited == again.nodes_visited
-            one, four = runs[1][0], runs[4][0]
-            assert (one.minimum, one.witnesses) == (
-                four.minimum, four.witnesses)
+            runs = [run_search(cache60, k, m, primitive_only=True,
+                               all_witnesses=all_witnesses, workers=w)
+                    for w in (1, 1, 4, 4)]
+            assert len({(r.minimum, r.witnesses, r.nodes_visited)
+                        for r in runs}) == 1
 
-    def test_workers_capped_at_first_elements(self, cache60, monkeypatch):
-        # only max - k + 1 = 3 first elements can start a 3-set of 1..5
-        fork = multiprocessing.get_context("fork")
-        sizes = []
+    @pytest.mark.parametrize("primitive", [True, False])
+    @pytest.mark.parametrize("all_witnesses", [True, False])
+    def test_minimum_without_element_1(self, cache60, primitive,
+                                       all_witnesses):
+        # at k = 5, M = 12 the first witness (3, 4, 6, 9, 12) lacks 1, so
+        # the tasks after it prune against element 1's higher minimum;
+        # results still match brute force, and nodes do not depend on
+        # the worker count
+        best, witnesses = _brute_force(5, 12, primitive)
+        assert witnesses[0][0] > 1
+        runs = [run_search(cache60, 5, 12, primitive_only=primitive,
+                           all_witnesses=all_witnesses, workers=w)
+                for w in (1, 2, 3)]
+        for r in runs:
+            assert r.minimum == best
+            assert list(r.witnesses) == (
+                witnesses if all_witnesses else witnesses[:1])
+        assert len({r.nodes_visited for r in runs}) == 1
 
-        class Spy:
-            def Pool(self, processes):
-                sizes.append(processes)
-                return fork.Pool(processes)
-
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: Spy())
+    def test_workers_capped_at_first_elements(self, cache60, pool_sizes):
+        # after element 1, only max - k = 2 first elements can start a
+        # 3-set of 1..5, one task each
         eight = run_search(cache60, 3, 5, workers=8)
-        assert sizes and max(sizes) <= 3
+        assert pool_sizes == [2]
         one = run_search(cache60, 3, 5, workers=1)
-        assert (eight.minimum, eight.witnesses, eight.witness_count) == (
-            one.minimum, one.witnesses, one.witness_count)
+        assert (eight.minimum, eight.witnesses, eight.witness_count,
+                eight.nodes_visited) == (one.minimum, one.witnesses,
+                                         one.witness_count, one.nodes_visited)
+
+    def test_k_equal_to_max_walks_element_1_alone(self, cache60,
+                                                  pool_sizes):
+        # {1..max} is the only k-set; no task follows element 1, and no
+        # pool is started
+        runs = [run_search(cache60, 6, 6, all_witnesses=True, workers=w)
+                for w in (1, 2)]
+        assert pool_sizes == []
+        assert [r.witnesses for r in runs] == [((1, 2, 3, 4, 5, 6),)] * 2
+        assert runs[0].minimum == runs[1].minimum == omega_naive(range(1, 7))
+        assert runs[0].nodes_visited == runs[1].nodes_visited
 
     def test_smaller_max_element_reuses_cache(self, cache60):
         direct = PairPrimeCache(20)
