@@ -13,9 +13,13 @@ element per line; blank lines and lines starting with # are skipped.
 The manifest's output digest is computed over the output object with the
 volatile fields (seconds, nodes_visited) nulled, so identical parameters,
 seed and version yield an identical digest even though wall times differ.
-Its SHA-256 is CPython's built-in one: hashlib would map OpenSSL's
-libcrypto into the process, 3.6 MiB of peak RSS on Python 3.11, for one
-digest per run.
+One pass over the output (_encode) writes both texts: stdout's JSON,
+byte-equal to json.dumps(out, indent=2), and the canonical JSON the digest
+hashes.  It encodes an object that a list repeats once, and a list of
+same-key records column by column.  CSV output takes only the canonical
+text, from json's C encoder.  Its SHA-256 is CPython's built-in one:
+hashlib would map OpenSSL's libcrypto into the process, 3.6 MiB of peak
+RSS on Python 3.11, for one digest per run.
 """
 
 from __future__ import annotations
@@ -53,8 +57,6 @@ except ImportError:
 
 VERIFY_TOKENS = tuple(t.replace("_", "-") for t in THEOREMS)
 _VOLATILE_KEYS = ("seconds", "nodes_visited")
-# how each volatile key starts its member in compact JSON
-_VOLATILE_MARKS = tuple(f'"{k}":' for k in _VOLATILE_KEYS)
 
 
 class CliError(Exception):
@@ -177,15 +179,24 @@ def _cmd_refine(args) -> tuple[dict, int]:
         trace = refine_t1(elements)
     else:
         trace = refine_t2(elements, args.rho)
+    # a split that keeps the whole set returns it, so a long chain repeats
+    # one snapshot: one list per run of the same tuple, and one sizes list
+    # per distinct sizes tuple, which the encoder writes once per list
+    snapshots, last = [], None
+    for snap in trace.snapshots:
+        if snap is not last:
+            last, texts = snap, [str(x) for x in snap]
+        snapshots.append(texts)
+    sizes = {t: list(t) for t in {s.sizes for s in trace.steps}}
     return {
         "mode": trace.mode,
         "rho": None if trace.rho is None else str(trace.rho),
         "initial": [str(x) for x in trace.initial],
         "sector": trace.sector,
         "steps": [{"prime": str(s.prime), "rule": s.rule,
-                   "sizes": list(s.sizes), "kept": s.kept}
+                   "sizes": sizes[s.sizes], "kept": s.kept}
                   for s in trace.steps],
-        "snapshots": [[str(x) for x in snap] for snap in trace.snapshots],
+        "snapshots": snapshots,
         "final": [str(x) for x in trace.final],
         "checks": trace.checks,
     }, 0
@@ -255,41 +266,97 @@ def _render_csv(out: dict) -> str:
     return buf.getvalue()
 
 
-def _render(obj, nl: str) -> str:
+def _encode(obj, nl: str) -> tuple[str, str]:
+    """(json.dumps(obj, indent=2) with nl at each newline, the canonical
+    JSON of obj): sorted keys, compact separators, and every member named
+    in _VOLATILE_KEYS null, at any depth.  Only a dict or list by exact
+    type is walked; any other value is json.dumps'd as it stands.  A key
+    that is not a str raises TypeError."""
     kind = type(obj)
     if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
+        text = encode_basestring_ascii(obj)
+        return text, text
+    if kind is int:  # by type, so never bool
+        text = int.__repr__(obj)
+        return text, text
+    if not obj or (kind is not dict and kind is not list):
+        return (json.dumps(obj, indent=2).replace("\n", nl),
+                json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    if kind is dict:
+        [pretty], [canon] = _records([obj], tuple(obj), nl)
+        return pretty, canon
     inner = nl + "  "
-    if kind is dict and obj:
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _render(v, inner)
-             for k, v in obj.items()]) + nl + "}"
-    if kind is list and obj:
-        kinds = set(map(type, obj))
-        if kinds == {str}:
-            items = map(encode_basestring_ascii, obj)
-        elif kinds == {int}:
-            items = map(int.__repr__, obj)
-        else:
-            items = [_render(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    return json.dumps(obj, indent=2).replace("\n", nl)
+    pretty, canon = _encode_all(obj, inner)
+    return ("[" + inner + ("," + inner).join(pretty) + nl + "]",
+            "[" + ",".join(canon) + "]")
+
+
+def _encode_all(values, nl: str):
+    """The two texts of each of a non-empty sequence of values, each
+    starting a line indented by nl, as (pretty texts, canonical texts).
+    Only str or only int is one C-level map; dicts that share one
+    non-empty key tuple go column by column (_records); anything else is
+    encoded once per distinct object, so a list that repeats one object
+    (refine's snapshots, its steps' sizes) encodes it once."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        texts = list(map(encode_basestring_ascii, values))
+        return texts, texts
+    if kinds == {int}:
+        texts = list(map(int.__repr__, values))
+        return texts, texts
+    if kinds == {dict}:
+        keys, *more = set(map(tuple, values))
+        if keys and not more:
+            return _records(values, keys, nl)
+    distinct = dict(zip(map(id, values), values))
+    texts = {i: _encode(v, nl) for i, v in distinct.items()}
+    return tuple(zip(*map(texts.__getitem__, map(id, values))))
+
+
+def _records(rows, keys: tuple, nl: str):
+    """_encode_all for dicts whose keys are keys, in that order: each
+    column of values is encoded at once, and each row is filled into one
+    %-template per text.  The canonical template takes the columns in
+    sorted-key order and holds null for a volatile key."""
+    names = {k: encode_basestring_ascii(k).replace("%", "%%") for k in keys}
+    inner = nl + "  "
+    columns = dict(zip(keys, [_encode_all(col, inner)
+                              for col in zip(*map(dict.values, rows))]))
+    pretty = ("{" + inner + ("," + inner).join([names[k] + ": %s"
+                                                for k in keys]) + nl + "}")
+    order = sorted(keys)
+    canon = "{" + ",".join([names[k] + (":null" if k in _VOLATILE_KEYS
+                                        else ":%s") for k in order]) + "}"
+    live = [columns[k][1] for k in order if k not in _VOLATILE_KEYS]
+    return (list(map(pretty.__mod__, zip(*[columns[k][0] for k in keys]))),
+            list(map(canon.__mod__, zip(*live))) if live
+            else [canon] * len(rows))
+
+
+def _output_texts(out) -> tuple[str, str]:
+    """(json.dumps(out, indent=2), the canonical JSON the digest hashes),
+    from one pass over out."""
+    try:
+        return _encode(out, "\n")
+    except TypeError:
+        # a key that is not a str: json converts it, after sorting by it
+        # (keys of mixed kinds do not sort, and raise as they always have)
+        return json.dumps(out, indent=2), _canonical_text(out)
+
+
+def _canonical_text(out) -> str:
+    """The canonical JSON alone, by json's C encoder from a copy of out
+    with the volatile keys nulled: for csv output, which prints no JSON,
+    and for an output with a key that is not a str."""
+    return json.dumps(_null_volatile(out), sort_keys=True,
+                      separators=(",", ":"))
 
 
 def _render_json(obj) -> str:
-    """Exactly json.dumps(obj, indent=2), without json's pure-Python
-    encoder for the common shapes: dicts and lists recurse with the
-    newline and indent of their own line, a str or int (by type, so never
-    bool) is encoded by json's C encoder or int.__repr__, and a list of
-    only str or only int is one C-level join.  Any other value is
-    json.dumps'd and re-indented, which is exact because an encoded value
-    holds no raw newline inside a string; a key json would convert (not a
-    str) makes encode_basestring_ascii raise TypeError, and the whole
-    object then goes to json.dumps."""
+    """Exactly json.dumps(obj, indent=2): the first text of _encode."""
     try:
-        return _render(obj, "\n")
+        return _encode(obj, "\n")[0]
     except TypeError:
         return json.dumps(obj, indent=2)
 
@@ -303,20 +370,10 @@ def _null_volatile(obj):
     return obj
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def output_digest(out: dict) -> str:
     """sha256 of the canonical JSON of out with the volatile keys nulled
-    at any depth.  In compact JSON only a key is followed by ':', so text
-    without '"seconds":' or '"nodes_visited":' has no volatile key and is
-    hashed as encoded; otherwise out is copied with them nulled first (a
-    false hit, such as an escaped quote in a key, only takes that path)."""
-    canon = _canonical_json(out)
-    if any(mark in canon for mark in _VOLATILE_MARKS):
-        canon = _canonical_json(_null_volatile(out))
-    return sha256(canon.encode()).hexdigest()
+    at any depth."""
+    return sha256(_output_texts(out)[1].encode()).hexdigest()
 
 
 _HANDLERS = {
@@ -410,9 +467,10 @@ def main(argv=None) -> int:
         return 2
 
     if getattr(args, "format", "json") == "csv":
-        text = _render_csv(out)
+        text, canonical = _render_csv(out), _canonical_text(out)
     else:
-        text = _render_json(out) + "\n"
+        pretty, canonical = _output_texts(out)
+        text = pretty + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
         try:
@@ -432,7 +490,7 @@ def main(argv=None) -> int:
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_time": _f12(time.perf_counter() - start),
-        "output_digest": output_digest(out),
+        "output_digest": sha256(canonical.encode()).hexdigest(),
     }
     print(json.dumps(manifest), file=sys.stderr)
     return code
