@@ -42,12 +42,12 @@ import math
 import random
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from eulab.core import (
-    EInt, ONE, ResidueRing, _ekey, _strip, divides, exact_div, gcd, valuation,
+    EInt, ONE, ResidueRing, _ekey, _Record, _strip, divides, exact_div, gcd,
+    valuation,
 )
 from eulab.factor import (
     factor_e, is_prime, pair_e_primes, pair_form_primes, prime_pi,
@@ -288,16 +288,14 @@ def _three_group(ring: ResidueRing, neg, neg_inv, ranks: Iterable[int],
 # the constants attached to a multiplier rho
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeConstant:
+class PrimeConstant(NamedTuple):
     pi: EInt
     gamma: int           # v_pi(rho)
     delta: int | None    # v_pi(1 + rho/pi^gamma); None when rho = -pi^gamma
     c: int               # gamma + delta, or gamma in the special case
 
 
-@dataclass(frozen=True)
-class RhoConstants:
+class RhoConstants(NamedTuple):
     rho: EInt
     primes: tuple[PrimeConstant, ...]
     c_rho: EInt          # product of pi^c over the listed primes
@@ -429,15 +427,29 @@ def _uv_split(elements: Sequence[EInt], pi: EInt,
 # refinement traces
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RefinementTrace:
+class RefinementTrace(_Record):
+    """A refinement chain and its final checks; equality and hash ignore
+    the checks."""
+
+    __slots__ = ("mode", "rho", "initial", "sector", "snapshots", "steps",
+                 "checks")
     mode: str                                  # "t1" | "t2"
     rho: EInt | None                           # None in additive mode
     initial: tuple[EInt, ...]
     sector: int | None
     snapshots: tuple[tuple[EInt, ...], ...]    # A0, A1, ..., As
     steps: tuple[SplitRecord, ...]
-    checks: dict = field(compare=False)
+    checks: dict
+
+    def __init__(self, mode: str, rho: EInt | None,
+                 initial: tuple[EInt, ...], sector: int | None,
+                 snapshots: tuple[tuple[EInt, ...], ...],
+                 steps: tuple[SplitRecord, ...], checks: dict) -> None:
+        _Record.__init__(self, mode, rho, initial, sector, snapshots, steps,
+                         checks)
+
+    def _key(self) -> tuple:
+        return self._values()[:-1]
 
     @property
     def final(self) -> tuple[EInt, ...]:
@@ -577,8 +589,7 @@ def refine_t2(elements: Iterable[EInt], rho: EInt) -> RefinementTrace:
 # randomized bound verification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     theorem: str
     rho: EInt | None
     seed: object

@@ -30,7 +30,6 @@ import json
 import re
 import sys
 import time
-from csv import writer as csv_writer
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -256,8 +255,10 @@ def _cmd_polyprod(args) -> tuple[dict, int]:
 # --------------------------------------------------------------------------
 
 def _render_csv(out: dict) -> str:
+    import csv  # here, not at the top: only --format csv reads it
+
     buf = io.StringIO()
-    w = csv_writer(buf)
+    w = csv.writer(buf)
     w.writerow(["k", "max", "minimum", "witness_count", "examples"])
     examples = ";".join(" ".join(str(x) for x in wit)
                         for wit in out["witnesses"][:3])

@@ -27,9 +27,12 @@ def _round_half_down(n: int, d: int) -> int:
 class EInt:
     """An element a + b*omega; immutable, hashed and compared as (a, b).
 
-    A plain slotted class rather than a frozen dataclass: construction is
-    the hot path of every ring operation, and this __init__ does the range
-    check and two slot writes with no further dispatch.
+    A plain slotted class rather than a frozen dataclass, as every record
+    of the package is a NamedTuple or a _Record: the dataclass module
+    loads inspect, several milliseconds of each process's start-up.  Here
+    construction is also the hot path of every ring operation, and this
+    __init__ does the range check and two slot writes with no further
+    dispatch.
     """
 
     __slots__ = ("a", "b")
@@ -202,6 +205,49 @@ class EInt:
 # Slot writers that bypass EInt.__setattr__, for __init__ only.
 _set_a = EInt.a.__set__
 _set_b = EInt.b.__set__
+
+
+class _Record:
+    """Base of the immutable records that validate in __init__ or compare
+    on fewer than all of their fields, where a NamedTuple cannot serve.
+    A subclass names its fields in order in __slots__ and hands their
+    values to _Record.__init__; equality and hash read _key(), every field
+    unless the subclass narrows it.  Repr, pickling and the refusal of
+    assignment read as those of a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def _key(self) -> tuple:
+        return self._values()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return self.__class__, self._values()
 
 
 def _coerce(value: object) -> EInt | None:

@@ -32,9 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from eulab.core import COORD_BOUND, EInt, _ekey, _strip
 
@@ -198,8 +197,7 @@ def _brent_split(n: int) -> int:
     raise ArithmeticError(f"cycle splitter failed on {n}")
 
 
-@dataclass(frozen=True)
-class RationalFactorization:
+class RationalFactorization(NamedTuple):
     sign: int
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), increasing prime
 
@@ -211,8 +209,7 @@ class RationalFactorization:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class EFactorization:
+class EFactorization(NamedTuple):
     unit: EInt
     factors: tuple[tuple[EInt, int], ...]  # (canonical prime, exponent)
 

@@ -12,10 +12,10 @@ checked exactly over the integers, never in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from eulab.core import _Record
 from eulab.factor import INT64_MAX, factor_rational
 
 # check_independence refuses more than this many subsets times n^3 before
@@ -35,31 +35,31 @@ _MAX_INDEPENDENCE_WORK = 5 * 10**7
 _MAX_PRODUCT_VALUES = 12_000
 
 
-@dataclass(frozen=True)
-class SparsePolySpec:
+class SparsePolySpec(_Record):
+    __slots__ = ("n", "r", "m")
     n: int
     r: tuple[int, ...]
     m: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, r: Iterable[int], m: Iterable[int]) -> None:
         # exact types: a float such as 2.0, a numeric string or a bool
         # (an int subclass) is refused, not coerced
-        if type(self.n) is not int:
+        if type(n) is not int:
             raise ValueError("n must be an integer")
-        if self.n < 2:
+        if n < 2:
             raise ValueError("n must be at least 2")
-        object.__setattr__(self, "r", tuple(self.r))
-        object.__setattr__(self, "m", tuple(self.m))
-        if any(type(v) is not int for v in self.r + self.m):
+        r, m = tuple(r), tuple(m)
+        if any(type(v) is not int for v in r + m):
             raise ValueError("coefficients and exponents must be integers")
-        if len(self.r) != self.n:
-            raise ValueError(f"expected {self.n} coefficients")
-        if len(self.m) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} exponents")
-        if any(v <= 0 for v in self.r):
+        if len(r) != n:
+            raise ValueError(f"expected {n} coefficients")
+        if len(m) != n - 1:
+            raise ValueError(f"expected {n - 1} exponents")
+        if any(v <= 0 for v in r):
             raise ValueError("coefficients must be positive")
-        if any(v < 0 for v in self.m):
+        if any(v < 0 for v in m):
             raise ValueError("exponents must be nonnegative")
+        _Record.__init__(self, n, r, m)
 
     def evaluate(self, x: int, y: int) -> int:
         total = self.r[self.n - 1] * y ** (self.n - 1)
@@ -68,15 +68,17 @@ class SparsePolySpec:
         return total
 
 
-@dataclass(frozen=True)
-class VectorSet:
+class VectorSet(_Record):
+    __slots__ = ("dimension", "vectors")
     dimension: int
     vectors: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.dimension:
+    def __init__(self, dimension: int,
+                 vectors: tuple[tuple[int, ...], ...]) -> None:
+        for v in vectors:
+            if len(v) != dimension:
                 raise ValueError("vector length differs from the dimension")
+        _Record.__init__(self, dimension, vectors)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -148,8 +150,7 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     independent: bool
     dimension: int
     subsets_checked: int

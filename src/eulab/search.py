@@ -41,7 +41,7 @@ import math
 import time
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from eulab.factor import _roots_x2_x_1, sieve_primes
 
@@ -107,8 +107,7 @@ class PairPrimeCache:
                                      itertools.chain.from_iterable(row)))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     k: int
     max_element: int
     primitive_only: bool

@@ -5,7 +5,6 @@ runs the module as a subprocess to cover the real entry point.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -212,7 +211,7 @@ class TestVerify:
 
     def test_failed_bound_exits_1(self, tmp_path, capsys, monkeypatch):
         report = verify_t1([ONE, OMEGA, EInt(2, 0)])
-        failing = dataclasses.replace(report, passed=False)
+        failing = report._replace(passed=False)
         monkeypatch.setattr(bounds, "verify_t1",
                             lambda elements, seed=None: failing)
         path = write_set(tmp_path, "s.txt", ["1,0", "0,1", "2,0"])
@@ -1202,6 +1201,19 @@ class TestParserReuse:
 
 
 class TestSubprocess:
+    def test_import_skips_slow_stdlib_modules(self):
+        # dataclasses pulls in inspect (with ast, dis and tokenize), and csv
+        # is read only for --format csv: none of them is loaded at start-up.
+        # Under -S no site hook can have loaded them first.
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "import eulab.cli; print(' '.join(name for name in "
+                  "('dataclasses', 'inspect', 'csv') if name in sys.modules))")
+        proc = subprocess.run([sys.executable, "-S", "-c", script, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
     def test_module_entry(self):
         proc = subprocess.run(
             [sys.executable, "-m", "eulab.cli", "omega-e", "--e", "12,0"],
